@@ -102,40 +102,6 @@ void BM_ProveBatchParallel(benchmark::State& state, Family fam) {
   run_batch(state, fam, 0, true);  // 0 = auto worker count, memo on
 }
 
-// E18: per-backend decision latency on the cliff shape (random-tree is where
-// feasibility queries dominate, so backend differences show up undiluted).
-// Serial, memo off — every vertex pays its own decisions.
-void run_batch_solver(benchmark::State& state, const Family& fam, solve::Backend solver) {
-  const MsoTreeScheme scheme(standard_tree_automata()[fam.automaton]);
-  const Graph g = prepare_instance(fam, static_cast<std::size_t>(state.range(0)));
-  RunOptions options;
-  options.num_threads = 1;
-  options.memoize = false;
-  options.solver = solver;
-  for (auto _ : state) {
-    auto result = prove_assignment(scheme, g, options);
-    benchmark::DoNotOptimize(result.certificates);
-  }
-  set_items(state, g.vertex_count());
-}
-
-void BM_ProveSolverGreedy(benchmark::State& state) {
-  run_batch_solver(state, kRandomTree, solve::Backend::kGreedy);
-}
-void BM_ProveSolverWarmFlow(benchmark::State& state) {
-  run_batch_solver(state, kRandomTree, solve::Backend::kWarmFlow);
-}
-void BM_ProveSolverColdFlow(benchmark::State& state) {
-  run_batch_solver(state, kRandomTree, solve::Backend::kColdFlow);
-}
-void BM_ProveSolverSat(benchmark::State& state) {
-  run_batch_solver(state, kRandomTree, solve::Backend::kSat);
-}
-BENCHMARK(BM_ProveSolverGreedy)->Arg(1024)->Arg(4096);
-BENCHMARK(BM_ProveSolverWarmFlow)->Arg(1024)->Arg(4096);
-BENCHMARK(BM_ProveSolverColdFlow)->Arg(1024)->Arg(4096);
-BENCHMARK(BM_ProveSolverSat)->Arg(1024)->Arg(4096);
-
 #define LCERT_PROVE_FAMILY(family, ...)                                    \
   BENCHMARK_CAPTURE(BM_ProveSeedSerial, family, k##family)__VA_ARGS__;     \
   BENCHMARK_CAPTURE(BM_ProveBatchSerialNoMemo, family, k##family)          \
@@ -209,14 +175,12 @@ BENCHMARK(BM_ProveSpanningBatch)->Arg(1024)->Arg(4096)->Arg(16384);
 // the shared obs::Report artifact, including the memo counters that the
 // JSON bench output cannot carry).
 void add_prove_record(obs::Report& report, const Family& fam, std::size_t n,
-                      std::size_t threads, bool memoize, const char* mode,
-                      solve::Backend solver = solve::kDefaultBackend) {
+                      std::size_t threads, bool memoize, const char* mode) {
   const MsoTreeScheme scheme(standard_tree_automata()[fam.automaton]);
   const Graph g = prepare_instance(fam, n);
   RunOptions options;
   options.num_threads = threads;
   options.memoize = memoize;
-  options.solver = solver;
   const std::size_t rounds = 5;
   std::size_t hits = 0;
   std::size_t misses = 0;
@@ -234,7 +198,6 @@ void add_prove_record(obs::Report& report, const Family& fam, std::size_t n,
       .set("scheme", scheme.name())
       .set("family", fam.name)
       .set("mode", mode)
-      .set("solver", solve::backend_name(solver))
       .set("n", g.vertex_count())
       .set("wall_ms_per_round", wall_ms / rounds)
       .set("memo_hits", hits)
@@ -292,14 +255,10 @@ int main(int argc, char** argv) {
     add_prove_record(report, fam, record_n, 1, false, "serial-no-memo");
     add_prove_record(report, fam, record_n, 1, true, "serial-memo");
     add_prove_record(report, fam, record_n, 0, true, "parallel-memo");
-    // E18 rows: one serial memo-off round per backend, same instance, so the
-    // wall_ms_per_round column is a direct decision-latency comparison.
-    for (const auto& info : solve::SolverFactory::registry())
-      add_prove_record(report, fam, record_n, 1, false, "solver-compare", info.backend);
   }
   report.note("");
   report.note("micro numbers above are google-benchmark's; the table rows re-measure one");
   report.note("prove_assignment round (5x) with memo + solver decision counters for");
-  report.note("the structured artifact; mode=solver-compare rows are the E18 recipe.");
+  report.note("the structured artifact.");
   return report.finish();
 }

@@ -7,18 +7,13 @@
 //                                           # soundness attack plan (random,
 //                                           # empty, replay, bit-flip, SAT-
 //                                           # guided run search)
-//   lcert_cli prove <scheme> [n] [--threads T] [--no-memo]
-//                   [--family F] [--solver S]
+//   lcert_cli prove <scheme> [n] [--threads T] [--no-memo] [--family F]
 //                                           # batch prover: timing + memo and
 //                                           # solver decision stats. --family
 //                                           # swaps the instance shape (path,
 //                                           # caterpillar, complete-binary,
 //                                           # random-tree) for the scheme's
-//                                           # default yes-instance; --solver
-//                                           # picks the feasibility backend
-//                                           # (greedy|warm-flow|cold-flow|sat;
-//                                           # --feas-tier-max is a deprecated
-//                                           # alias)
+//                                           # default yes-instance
 //   lcert_cli fuzz <scheme|all> [flags]     # differential fuzzing campaign
 //   lcert_cli apply-edit <scheme> <file|-> <spec>... [--threads T] [--check]
 //                                           # certify a graph, then stream
@@ -41,8 +36,10 @@
 //   --base-n N        base instance size (default 12)
 //   --replay T        re-run exactly one trial index and report it
 //   --out DIR         write <scheme>-trial<T>.lcg + .repro.txt per finding
-//   --solver S        feasibility backend for the incremental re-proves (the
-//                     solver-divergence oracle sweeps all backends anyway)
+//
+// Numeric arguments (n, counts, seeds, --time-budget) are strict: digits
+// only, no sign or trailing text; n is capped at kMaxVertexCount
+// (src/graph/io.hpp). A malformed value exits 2 with a message naming it.
 //
 // edit spec grammar (apply-edit): graft:U[:ID] | prune:V | swap:M:OP:NP |
 // edge-add:U:V | edge-del:U:V | permute:SEED — vertex indices refer to the
@@ -57,7 +54,9 @@
 // timeline (chrome://tracing / Perfetto). An unwritable artifact path is
 // rejected up front with exit code 2.
 // Edge-list format: see src/graph/io.hpp.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -75,7 +74,6 @@
 #include "src/logic/eval.hpp"
 #include "src/obs/report.hpp"
 #include "src/schemes/registry.hpp"
-#include "src/solve/backend.hpp"
 #include "src/util/rng.hpp"
 
 namespace {
@@ -101,38 +99,45 @@ const RegisteredScheme* lookup(const std::string& key) {
   return entry;
 }
 
-/// Non-throwing solver lookup, same contract as lookup() above: unknown names
-/// list the valid backends on stderr, exit code 2 at the call site.
-std::optional<solve::Backend> lookup_solver(const std::string& name) {
-  const auto backend = solve::parse_backend(name);
-  if (!backend.has_value())
-    std::fprintf(stderr, "error: unknown solver '%s'; valid solvers: %s\n",
-                 name.c_str(), solve::backend_listing().c_str());
-  return backend;
+/// Strict unsigned parse shared by every verb: digits only (no sign, no
+/// whitespace, no trailing text, not empty) and at most `max`. Throws
+/// std::invalid_argument naming `what`; main() turns that into exit code 2.
+std::uint64_t parse_count(const std::string& what, const std::string& text,
+                          std::uint64_t max = UINT64_MAX) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max)
+    throw std::invalid_argument(
+        "invalid value '" + text + "' for " + what + ": expected " +
+        (max == UINT64_MAX ? std::string("a non-negative integer")
+                           : "an integer in [0, " + std::to_string(max) + "]"));
+  return value;
 }
 
-/// Deprecated --feas-tier-max alias: tier numbers map onto the backend that
-/// used to sit at that tier (0=cold-flow, 1=greedy, 2=warm-flow). Out-of-range
-/// tiers are rejected with the backend listing (they used to be accepted
-/// silently); in-range ones warn once and select the named solver.
-std::optional<solve::Backend> solver_from_tier_flag(const std::string& value) {
-  const int tier = std::stoi(value);
-  const auto backend = solve::backend_from_tier(tier);
-  if (!backend.has_value()) {
-    std::fprintf(stderr,
-                 "error: --feas-tier-max %d is out of range; use --solver with "
-                 "one of: %s\n",
-                 tier, solve::backend_listing().c_str());
-    return std::nullopt;
-  }
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "warning: --feas-tier-max is deprecated; use --solver %s\n",
-                 solve::backend_name(*backend));
-  }
-  return backend;
+/// A vertex count from the command line, under the same ceiling as the
+/// edge-list parser.
+std::size_t parse_vertex_count(const std::string& text) {
+  return parse_count("n", text, kMaxVertexCount);
+}
+
+/// Strict non-negative decimal (--time-budget): no sign, no trailing text,
+/// finite.
+double parse_seconds(const std::string& what, const std::string& text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || text[0] == '-' || ec != std::errc() || ptr != end ||
+      !std::isfinite(value))
+    throw std::invalid_argument("invalid value '" + text + "' for " + what +
+                                ": expected a non-negative number of seconds");
+  return value;
+}
+
+/// The value of flag args[i]; advances i past it. Throws when it is missing.
+const std::string& flag_value(const std::vector<std::string>& args, std::size_t& i) {
+  if (i + 1 >= args.size()) throw std::invalid_argument("missing value for " + args[i]);
+  return args[++i];
 }
 
 int run_scheme_on(const RegisteredScheme& entry, const Graph& g) {
@@ -215,7 +220,7 @@ int audit_command(const std::vector<std::string>& args, obs::Report& report) {
     if (flag == "--metrics-out" || flag == "--trace-out") {
       ++i;  // consumed by obs::Report::from_cli
     } else if (!flag.empty() && flag[0] != '-') {
-      n = std::stoul(flag);
+      n = parse_vertex_count(flag);
     } else {
       throw std::invalid_argument("unknown audit flag '" + flag + "'");
     }
@@ -286,27 +291,14 @@ int prove_command(const std::vector<std::string>& args, obs::Report& report) {
     if (flag == "--metrics-out" || flag == "--trace-out") {
       ++i;  // consumed by obs::Report::from_cli
     } else if (flag == "--threads") {
-      if (i + 1 >= args.size()) throw std::invalid_argument("missing value for --threads");
-      options.num_threads = std::stoul(args[++i]);
+      options.num_threads = parse_count(flag, flag_value(args, i));
     } else if (flag == "--no-memo") {
       options.memoize = false;
     } else if (flag == "--family") {
-      if (i + 1 >= args.size()) throw std::invalid_argument("missing value for --family");
-      shape = lookup_shape(args[++i]);
+      shape = lookup_shape(flag_value(args, i));
       if (shape == nullptr) return 2;
-    } else if (flag == "--solver") {
-      if (i + 1 >= args.size()) throw std::invalid_argument("missing value for --solver");
-      const auto backend = lookup_solver(args[++i]);
-      if (!backend.has_value()) return 2;
-      options.solver = *backend;
-    } else if (flag == "--feas-tier-max") {
-      if (i + 1 >= args.size())
-        throw std::invalid_argument("missing value for --feas-tier-max");
-      const auto backend = solver_from_tier_flag(args[++i]);
-      if (!backend.has_value()) return 2;
-      options.solver = *backend;
     } else if (!flag.empty() && flag[0] != '-') {
-      n = std::stoul(flag);
+      n = parse_vertex_count(flag);
     } else {
       throw std::invalid_argument("unknown prove flag '" + flag + "'");
     }
@@ -317,10 +309,9 @@ int prove_command(const std::vector<std::string>& args, obs::Report& report) {
   Graph g = shape == nullptr ? entry->family.yes_instance(n, rng) : shape->make(n, rng);
   if (shape != nullptr) assign_random_ids(g, rng);
   std::printf("scheme:   %s (%s)\n", entry->key.c_str(), entry->description.c_str());
-  std::printf("instance: %s n=%zu m=%zu, threads=%zu, memo=%s, solver=%s\n",
+  std::printf("instance: %s n=%zu m=%zu, threads=%zu, memo=%s\n",
               shape == nullptr ? "yes-instance" : shape->name, g.vertex_count(),
-              g.edge_count(), options.num_threads, options.memoize ? "on" : "off",
-              solve::backend_name(options.solver));
+              g.edge_count(), options.num_threads, options.memoize ? "on" : "off");
 
   const auto start = std::chrono::steady_clock::now();
   const ProveResult result = prove_assignment(*scheme, g, options);
@@ -354,7 +345,6 @@ int prove_command(const std::vector<std::string>& args, obs::Report& report) {
       .set("threads", options.num_threads)
       .set("memo", options.memoize ? "on" : "off")
       .set("family", shape == nullptr ? "yes-instance" : shape->name)
-      .set("solver", solve::backend_name(options.solver))
       .set("prove_ms", ms)
       .set("memo_hits", result.memo_hits)
       .set("memo_misses", result.memo_misses)
@@ -386,34 +376,16 @@ FuzzCliOptions parse_fuzz_flags(const std::vector<std::string>& args, std::size_
       ++i;
       continue;
     }
-    const auto value = [&]() -> const std::string& {
-      if (i + 1 >= args.size())
-        throw std::invalid_argument("missing value for " + flag);
-      return args[++i];
-    };
-    if (flag == "--trials") out.campaign.trials = std::stoul(value());
-    else if (flag == "--time-budget") out.campaign.time_budget_s = std::stod(value());
-    else if (flag == "--seed") out.campaign.seed = std::stoull(value());
-    else if (flag == "--threads") out.campaign.num_threads = std::stoul(value());
-    else if (flag == "--base-n") out.campaign.base_n = std::stoul(value());
-    else if (flag == "--replay") out.replay = std::stoul(value());
-    else if (flag == "--out") out.out_dir = value();
-    else if (flag == "--solver") {
-      // Drives the incremental-divergence re-proves; the solver-divergence
-      // oracle still sweeps every registered backend regardless.
-      const auto backend = solve::parse_backend(value());
-      if (!backend.has_value())
-        throw std::invalid_argument(std::string("unknown solver; valid solvers: ") +
-                                    solve::backend_listing());
-      out.campaign.attack.solver = *backend;
-    } else if (flag == "--feas-tier-max") {
-      const auto backend = solver_from_tier_flag(value());
-      if (!backend.has_value())
-        throw std::invalid_argument(std::string("--feas-tier-max out of range; valid "
-                                                "solvers: ") +
-                                    solve::backend_listing());
-      out.campaign.attack.solver = *backend;
-    }
+    if (flag == "--trials") out.campaign.trials = parse_count(flag, flag_value(args, i));
+    else if (flag == "--time-budget")
+      out.campaign.time_budget_s = parse_seconds(flag, flag_value(args, i));
+    else if (flag == "--seed") out.campaign.seed = parse_count(flag, flag_value(args, i));
+    else if (flag == "--threads")
+      out.campaign.num_threads = parse_count(flag, flag_value(args, i));
+    else if (flag == "--base-n")
+      out.campaign.base_n = parse_count(flag, flag_value(args, i), kMaxVertexCount);
+    else if (flag == "--replay") out.replay = parse_count(flag, flag_value(args, i));
+    else if (flag == "--out") out.out_dir = flag_value(args, i);
     else throw std::invalid_argument("unknown fuzz flag '" + flag + "'");
   }
   return out;
@@ -501,12 +473,8 @@ GraphEdit parse_edit_spec(const std::string& spec, const Graph& g) {
     if (parts.size() < lo || parts.size() > hi)
       throw std::invalid_argument("malformed edit spec '" + spec + "'");
   };
-  const auto num = [&](std::size_t i) -> std::uint64_t {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(parts[i], &used);
-    if (used != parts[i].size())
-      throw std::invalid_argument("malformed number in edit spec '" + spec + "'");
-    return value;
+  const auto num = [&](std::size_t i) {
+    return parse_count("edit spec '" + spec + "'", parts[i]);
   };
 
   const std::string& kind = parts[0];
@@ -606,8 +574,7 @@ int apply_edit_command(const std::vector<std::string>& args, obs::Report& report
     if (arg == "--metrics-out" || arg == "--trace-out") {
       ++i;  // consumed by obs::Report::from_cli
     } else if (arg == "--threads") {
-      if (i + 1 >= args.size()) throw std::invalid_argument("missing value for --threads");
-      options.num_threads = std::stoul(args[++i]);
+      options.num_threads = parse_count(arg, flag_value(args, i));
     } else if (arg == "--check") {
       check = true;
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
@@ -666,22 +633,18 @@ int watch_command(const std::vector<std::string>& args, obs::Report& report) {
     if (flag == "--metrics-out" || flag == "--trace-out") {
       ++i;  // consumed by obs::Report::from_cli
     } else if (flag == "--family") {
-      if (i + 1 >= args.size()) throw std::invalid_argument("missing value for --family");
-      shape = lookup_shape(args[++i]);
+      shape = lookup_shape(flag_value(args, i));
       if (shape == nullptr) return 2;
     } else if (flag == "--edits") {
-      if (i + 1 >= args.size()) throw std::invalid_argument("missing value for --edits");
-      edits = std::stoul(args[++i]);
+      edits = parse_count(flag, flag_value(args, i));
     } else if (flag == "--seed") {
-      if (i + 1 >= args.size()) throw std::invalid_argument("missing value for --seed");
-      seed = std::stoull(args[++i]);
+      seed = parse_count(flag, flag_value(args, i));
     } else if (flag == "--threads") {
-      if (i + 1 >= args.size()) throw std::invalid_argument("missing value for --threads");
-      options.num_threads = std::stoul(args[++i]);
+      options.num_threads = parse_count(flag, flag_value(args, i));
     } else if (flag == "--check") {
       check = true;
     } else if (!flag.empty() && flag[0] != '-') {
-      n = std::stoul(flag);
+      n = parse_vertex_count(flag);
     } else {
       throw std::invalid_argument("unknown watch flag '" + flag + "'");
     }
@@ -823,7 +786,7 @@ int main(int argc, char** argv) {
     if (args[0] == "demo" && args.size() >= 2) {
       const RegisteredScheme* entry = lookup(args[1]);
       if (entry == nullptr) return 2;
-      const std::size_t n = args.size() >= 3 ? std::stoul(args[2]) : 24;
+      const std::size_t n = args.size() >= 3 ? parse_vertex_count(args[2]) : 24;
       Rng rng(42);
       const Graph g = entry->family.yes_instance(n, rng);
       const int rc = run_scheme_on(*entry, g);
@@ -866,10 +829,9 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "usage: lcert_cli list | demo <scheme> [n] | run <scheme> <file|-> | "
                "audit <scheme|all> [n] | prove <scheme> [n] [--threads T] [--no-memo] "
-               "[--family F] [--solver greedy|warm-flow|cold-flow|sat] | "
+               "[--family F] | "
                "fuzz <scheme|all> [--trials N] [--time-budget S] "
-               "[--seed S] [--threads T] [--base-n N] [--replay T] [--out DIR] "
-               "[--solver S] | "
+               "[--seed S] [--threads T] [--base-n N] [--replay T] [--out DIR] | "
                "apply-edit <scheme> <file|-> <spec>... [--threads T] [--check] | "
                "watch <scheme> [n] [--family F] [--edits K] [--seed S] [--threads T] "
                "[--check] | "

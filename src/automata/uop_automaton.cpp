@@ -199,22 +199,22 @@ std::optional<Run> find_accepting_run(const UOPAutomaton& a, const RootedTree& t
   const auto order = t.preorder();
 
   if (a.state_count <= 64) {
-    // Mask fast path: feasibility decisions through the default solver
-    // backend (exact booleans), assignments through the pristine masked
-    // solver — so the run produced is bit-identical to the vector<bool>
-    // reference path below.
+    // Mask fast path: feasibility decisions through the production solver
+    // (exact booleans), assignments through the pristine masked solver — so
+    // the run produced is bit-identical to the vector<bool> reference path
+    // below.
     const std::size_t k = a.state_count;
     std::vector<std::uint64_t> feasible(t.size(), 0);
     std::vector<std::uint64_t> child_masks;
-    const auto feas = solve::SolverFactory::make(solve::kDefaultBackend);
+    solve::FeasibilitySolver feas;
 
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const std::size_t v = *it;
       child_masks.clear();
       for (std::size_t c : t.children(v)) child_masks.push_back(feasible[c]);
-      feas->begin(child_masks, k);
+      feas.begin(child_masks, k);
       for (std::size_t q = 0; q < k; ++q)
-        if (feas->decide_first(boxes[q * a.label_count + label_of(labels, v)]) !=
+        if (feas.decide_first(boxes[q * a.label_count + label_of(labels, v)]) !=
             BoxIndex::npos)
           feasible[v] |= std::uint64_t{1} << q;
     }
@@ -236,11 +236,11 @@ std::optional<Run> find_accepting_run(const UOPAutomaton& a, const RootedTree& t
       if (children_span.empty()) continue;
       child_masks.clear();
       for (std::size_t c : children_span) child_masks.push_back(feasible[c]);
-      feas->begin(child_masks, k);
+      feas.begin(child_masks, k);
       const BoxIndex& idx = boxes[q * a.label_count + label_of(labels, v)];
       // decide_first is exact: it skips only boxes the full sweep would
       // reject, so this is the same first box as the pre-index linear scan.
-      const std::size_t bi = feas->decide_first(idx);
+      const std::size_t bi = feas.decide_first(idx);
       if (bi == BoxIndex::npos)
         throw std::logic_error("find_accepting_run: extraction failed");
       if (!uop_assign_children_masked(child_masks, idx.box(bi), k, assignment))

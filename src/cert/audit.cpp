@@ -14,7 +14,7 @@
 #include "src/graph/rooted_tree.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/span.hpp"
-#include "src/solve/solver.hpp"
+#include "src/solve/sat.hpp"
 #include "src/util/parallel.hpp"
 
 namespace lcert {
@@ -106,7 +106,7 @@ std::optional<std::vector<Certificate>> run_trials(
 // The sat-run strategy: instead of perturbing bit strings, search the
 // semantic forgery space. For run-encoding schemes (RunForgerySurface) every
 // assignment the verifier could accept decodes to an orientation of an
-// accepting automaton run, so asking the SAT solver backend for an accepting
+// accepting automaton run, so asking the SAT decider for an accepting
 // run on the no-instance — per candidate rooting, bottom-up feasibility DP
 // then top-down witness extraction — covers that entire space. Exhausting
 // every rooting is therefore a completeness statement for this family, which
@@ -115,7 +115,8 @@ std::optional<std::vector<Certificate>> run_trials(
 std::optional<std::vector<Certificate>> sat_run_attack(const AttackContext& ctx,
                                                        AttackOutcome& out) {
   const auto surface = ctx.scheme.run_forgery_surface();
-  if (!surface.has_value() || surface->automaton == nullptr || !surface->encode) {
+  if (!surface.has_value() || surface->automaton == nullptr ||
+      surface->boxes == nullptr || !surface->encode) {
     out.applicable = false;
     out.detail = "scheme exposes no run-forgery surface";
     return std::nullopt;
@@ -135,12 +136,9 @@ std::optional<std::vector<Certificate>> sat_run_attack(const AttackContext& ctx,
   }
 
   const std::size_t k = a.state_count;
-  std::vector<BoxIndex> boxes;
-  boxes.reserve(k);
-  for (std::size_t q = 0; q < k; ++q)
-    boxes.emplace_back(a.transition(q, 0).to_boxes(k));
+  const BoxIndex* boxes = surface->boxes;
 
-  const auto solver = solve::SolverFactory::make(solve::Backend::kSat);
+  solve::SatFeasibility solver;
   const AuditMetrics& metrics = audit_metrics();
   std::vector<std::uint64_t> feasible(n, 0);
   std::vector<std::uint64_t> child_masks;
@@ -163,9 +161,9 @@ std::optional<std::vector<Certificate>> sat_run_attack(const AttackContext& ctx,
       const std::size_t v = *it;
       child_masks.clear();
       for (std::size_t c : t.children(v)) child_masks.push_back(feasible[c]);
-      solver->begin(child_masks, k);
+      solver.begin(child_masks, k);
       for (std::size_t q = 0; q < k; ++q)
-        if (solver->decide_first(boxes[q]) != BoxIndex::npos)
+        if (solver.decide_first(boxes[q]) != BoxIndex::npos)
           feasible[v] |= std::uint64_t{1} << q;
     }
 
@@ -188,15 +186,15 @@ std::optional<std::vector<Certificate>> sat_run_attack(const AttackContext& ctx,
       if (children_span.empty()) continue;
       child_masks.clear();
       for (std::size_t c : children_span) child_masks.push_back(feasible[c]);
-      solver->begin(child_masks, k);
+      solver.begin(child_masks, k);
       bool placed = false;
       // Candidate iteration: the cursor drops only boxes decide_witness
       // would reject on the necessary conditions, so the witness comes from
       // the same box a full sweep would pick.
-      auto cur = boxes[q].feasibility_candidates(solver->supply().data(),
+      auto cur = boxes[q].feasibility_candidates(solver.supply().data(),
                                                  child_masks.size());
       for (std::size_t bi = cur.next(); bi != BoxIndex::npos; bi = cur.next()) {
-        if (!solver->decide_witness(boxes[q].box(bi), witness)) continue;
+        if (!solver.decide_witness(boxes[q].box(bi), witness)) continue;
         for (std::size_t i = 0; i < children_span.size(); ++i)
           run[children_span[i]] = witness[i];
         placed = true;

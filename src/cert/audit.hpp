@@ -5,9 +5,9 @@
 // running a fixed plan of attack strategies (standard_attack_plan) — random
 // certificates, the empty assignment, replays of certificates harvested from
 // yes-instances (verbatim and shuffled), single bit-flips of the template,
-// and the SAT-guided run search, which asks the sat solver backend for an
-// accepting automaton run on the no-instance directly instead of mutating
-// bits. A sound scheme must reject every attempt; any accepted forgery is a
+// and the SAT-guided run search, which asks the SAT decider
+// (solve::SatFeasibility) for an accepting automaton run on the no-instance
+// directly instead of mutating bits. A sound scheme must reject every attempt; any accepted forgery is a
 // bug and is returned for the test to display, tagged with the strategy that
 // found it. On tiny instances exhaustive_soundness_attack enumerates all
 // short certificate assignments outright.

@@ -14,8 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "src/solve/backend.hpp"
-
 namespace lcert {
 
 struct RunOptions {
@@ -54,13 +52,6 @@ struct RunOptions {
   /// Off is strictly a debugging/benchmarking mode: output is bit-identical
   /// either way (pinned by tests), only the work done changes.
   bool memoize = true;
-
-  /// Which FeasibilitySolver backend (src/solve/) decides the per-vertex UOP
-  /// assignment problem: warm-flow (default), greedy, cold-flow (the pristine
-  /// reference) or sat. Like `memoize`, a debugging/benchmarking/differential
-  /// knob: output is bit-identical under every backend (pinned by tests and
-  /// the solver-divergence fuzz oracle).
-  solve::Backend solver = solve::kDefaultBackend;
 };
 
 }  // namespace lcert

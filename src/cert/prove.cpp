@@ -37,19 +37,19 @@ ProverContext::ProverContext(std::size_t universe, const RunOptions& options)
       resolve_thread_count(options.num_threads, universe == 0 ? 1 : universe);
   scratch_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w)
-    scratch_.push_back(std::make_unique<WorkerScratch>(options.solver));
+    scratch_.push_back(std::make_unique<WorkerScratch>());
 }
 
 void ProverContext::ensure_universe(std::size_t universe) {
   const std::size_t workers =
       resolve_thread_count(options_.num_threads, universe == 0 ? 1 : universe);
   while (scratch_.size() < workers)
-    scratch_.push_back(std::make_unique<WorkerScratch>(options_.solver));
+    scratch_.push_back(std::make_unique<WorkerScratch>());
 }
 
 solve::DecisionCounts ProverContext::feas_counts() const {
   solve::DecisionCounts total;
-  for (const auto& s : scratch_) total += s->feasibility->counts();
+  for (const auto& s : scratch_) total += s->feasibility.counts();
   return total;
 }
 

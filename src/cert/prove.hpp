@@ -81,11 +81,11 @@ class ProverContext {
   std::size_t memo_hits() const noexcept { return memo_hits_; }
   std::size_t memo_misses() const noexcept { return memo_misses_; }
 
-  /// The worker's feasibility solver backend (DESIGN.md §15), built by
-  /// SolverFactory from options().solver. Persistent per-worker scratch: warm
-  /// across vertices within the run, zero steady-state allocations.
+  /// The worker's feasibility solver (DESIGN.md §15). Persistent per-worker
+  /// scratch: warm across vertices within the run, zero steady-state
+  /// allocations.
   solve::FeasibilitySolver& feasibility(std::size_t worker) {
-    return *scratch_[worker]->feasibility;
+    return scratch_[worker]->feasibility;
   }
 
   /// Sum of every worker's per-stage decision counts. Call after the last
@@ -97,9 +97,8 @@ class ProverContext {
   struct WorkerScratch {
     Arena arena;
     BitWriter writer;
-    std::unique_ptr<solve::FeasibilitySolver> feasibility;
-    explicit WorkerScratch(solve::Backend backend)
-        : writer(arena), feasibility(solve::SolverFactory::make(backend)) {}
+    solve::FeasibilitySolver feasibility;
+    WorkerScratch() : writer(arena) {}
   };
 
   RunOptions options_;

@@ -32,6 +32,7 @@ namespace lcert {
 
 class ProverContext;   // src/cert/prove.hpp
 struct UOPAutomaton;   // src/automata/uop_automaton.hpp
+class BoxIndex;        // src/automata/box_index.hpp
 
 /// A certificate is an exact-length bit string.
 struct Certificate {
@@ -211,6 +212,11 @@ class IncrementalProver {
 /// that exhausts every rooting has proven this attack family empty.
 struct RunForgerySurface {
   const UOPAutomaton* automaton = nullptr;
+  /// The scheme's compiled canonical DNF of each state's transition (label
+  /// 0), automaton->state_count entries indexed by state, borrowed from the
+  /// scheme. Run searches decide against these instead of re-expanding the
+  /// automaton per call.
+  const BoxIndex* boxes = nullptr;
   /// Encodes one vertex of a run: the vertex's depth below the chosen root
   /// (mod 3, the orientation gadget) and its automaton state.
   std::function<Certificate(std::size_t depth_mod3, std::size_t state)> encode;

@@ -1,5 +1,7 @@
 #include "src/fuzz/oracles.hpp"
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,8 +11,10 @@
 #include "src/cert/engine.hpp"
 #include "src/cert/prove.hpp"
 #include "src/fuzz/mutators.hpp"
+#include "src/graph/rooted_tree.hpp"
 #include "src/incr/incremental.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/solve/sat.hpp"
 #include "src/solve/solver.hpp"
 
 namespace lcert::fuzz {
@@ -98,11 +102,9 @@ bool same_assignment(const std::optional<std::vector<Certificate>>& a,
 /// reason.
 std::optional<CheckOutcome> incremental_divergence(const Scheme& scheme,
                                                    const InstanceFamily& family,
-                                                   const Graph& g, Rng& rng,
-                                                   solve::Backend solver) {
+                                                   const Graph& g, Rng& rng) {
   RunOptions opts;
   opts.num_threads = 1;
-  opts.solver = solver;  // the campaign's --solver choice drives the re-proves
   incr::CertifiedInstance live(scheme, opts);
   if (!live.incremental()) return std::nullopt;
 
@@ -139,13 +141,79 @@ std::optional<CheckOutcome> incremental_divergence(const Scheme& scheme,
   return std::nullopt;
 }
 
+/// Oracle 8, decision half: the production FeasibilitySolver must decide
+/// like two independent procedures. Under every rooting of the trial tree it
+/// runs the bottom-up feasibility pass of the scheme's automaton and, at
+/// every vertex and state, compares the first feasible box of three
+/// deciders: the production solver, SatFeasibility, and a full
+/// uop_assign_children_masked sweep in DNF order. Feasibility is a function
+/// of the child-mask multiset, so a multiset seen under an earlier vertex or
+/// rooting is not checked again. Draws no rng, so it may run anywhere in the
+/// battery without shifting replay coordinates.
+std::optional<CheckOutcome> solver_divergence(const Scheme& scheme, const Graph& g) {
+  const auto surface = scheme.run_forgery_surface();
+  if (!surface.has_value() || surface->automaton == nullptr || surface->boxes == nullptr)
+    return std::nullopt;
+  const UOPAutomaton& a = *surface->automaton;
+  if (a.label_count != 1 || a.state_count > 64) return std::nullopt;
+  const std::size_t n = g.vertex_count();
+  if (n == 0 || g.edge_count() != n - 1 || !g.is_connected()) return std::nullopt;
+
+  const std::size_t k = a.state_count;
+  const BoxIndex* boxes = surface->boxes;
+
+  solve::FeasibilitySolver production;
+  solve::SatFeasibility sat;
+  std::map<std::vector<std::uint64_t>, std::uint64_t> mask_of;  // sorted child masks
+  std::vector<std::uint64_t> feasible(n, 0);
+  std::vector<std::uint64_t> child_masks;
+  std::vector<std::uint64_t> key;
+  std::vector<std::size_t> assignment;
+  for (Vertex root = 0; root < n; ++root) {
+    const RootedTree t = RootedTree::from_graph(g, root);
+    const auto order = t.preorder();
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const std::size_t v = *it;
+      child_masks.clear();
+      for (std::size_t c : t.children(v)) child_masks.push_back(feasible[c]);
+      key = child_masks;
+      std::sort(key.begin(), key.end());
+      const auto [slot, fresh] = mask_of.try_emplace(key, 0);
+      if (fresh) {
+        production.begin(child_masks, k);
+        sat.begin(child_masks, k);
+        for (std::size_t q = 0; q < k; ++q) {
+          const BoxIndex& idx = boxes[q];
+          const std::size_t first = production.decide_first(idx);
+          const std::size_t sat_first = sat.decide_first(idx);
+          std::size_t sweep_first = BoxIndex::npos;
+          for (std::size_t i = 0; i < idx.size() && sweep_first == BoxIndex::npos; ++i)
+            if (uop_assign_children_masked(child_masks, idx.box(i), k, assignment))
+              sweep_first = i;
+          if (first != sat_first || first != sweep_first) {
+            std::ostringstream os;
+            os << "root " << root << ", vertex " << v << " (m=" << child_masks.size()
+               << "), state " << q << ": first feasible box " << first
+               << " (production) vs " << sat_first << " (sat) vs " << sweep_first
+               << " (pristine sweep)";
+            return violation(Oracle::kSolverDivergence, os.str());
+          }
+          if (first != BoxIndex::npos) slot->second |= std::uint64_t{1} << q;
+        }
+      }
+      feasible[v] = slot->second;
+    }
+  }
+  return std::nullopt;
+}
+
 /// Oracle 10: the BoxIndex must be invisible. For every state of the
 /// scheme's automaton it rebuilds the canonical index and demands, on random
 /// probes, (a) indexed first_containing == the reference linear sweep's
 /// first match, (b) canonical-DNF membership == the constraint AST's eval()
 /// (exactness of canonicalize_boxes end to end), and (c) decide_first
 /// through the feasibility-candidate cursor == a full per-box decide sweep
-/// on the cold-flow reference backend. Runs last in the battery so its rng
+/// of the production solver. Runs last in the battery so its rng
 /// draws never shift the streams of the older oracles.
 std::optional<CheckOutcome> box_index_divergence(const Scheme& scheme, Rng& rng) {
   const auto surface = scheme.run_forgery_surface();
@@ -189,21 +257,21 @@ std::optional<CheckOutcome> box_index_divergence(const Scheme& scheme, Rng& rng)
 
     if (k > 64) continue;
     // Candidate path: decide_first's feasibility cursor against a full
-    // decide sweep, both on the cold-flow reference backend.
+    // decide sweep of the same solver.
     const std::uint64_t keep =
         k == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << k) - 1);
     for (int trial = 0; trial < 4; ++trial) {
       child_masks.resize(rng.index(5));
       for (std::uint64_t& mask : child_masks) mask = rng.uniform(0, keep);
-      const auto feas = solve::SolverFactory::make(solve::Backend::kColdFlow);
-      feas->begin(child_masks, k);
+      solve::FeasibilitySolver feas;
+      feas.begin(child_masks, k);
       std::size_t sweep_first = BoxIndex::npos;
       for (std::size_t i = 0; i < idx.size(); ++i)
-        if (feas->decide(idx.box(i))) {
+        if (feas.decide(idx.box(i))) {
           sweep_first = i;
           break;
         }
-      const std::size_t fast_first = feas->decide_first(idx);
+      const std::size_t fast_first = feas.decide_first(idx);
       if (sweep_first != fast_first) {
         std::ostringstream os;
         os << "state " << q << " (m=" << child_masks.size()
@@ -238,6 +306,11 @@ CheckOutcome check_instance(const Scheme& scheme, const InstanceFamily& family,
                             const Graph& g, Rng& rng,
                             const RunOptions& attack_budget) {
   CheckOutcome out;
+
+  // Oracle 8, decision half, first of all: it draws no rng, and a wrong
+  // solver decision must be reported before holds() or assign() trip over it
+  // (the prover throws when a decision and the pristine extraction disagree).
+  if (const auto hit = solver_divergence(scheme, g)) return *hit;
 
   // Ground truth. A promise violation (or a feasibility limit like the exact
   // treedepth solver's n cap) skips the trial; any other exception from
@@ -282,9 +355,7 @@ CheckOutcome check_instance(const Scheme& scheme, const InstanceFamily& family,
     if (forged.has_value())
       return violation(Oracle::kSoundnessForgery,
                        "attack '" + forged->attack + "' forged an accepting assignment");
-    if (const auto hit =
-            incremental_divergence(scheme, family, g, rng, attack_budget.solver))
-      return *hit;
+    if (const auto hit = incremental_divergence(scheme, family, g, rng)) return *hit;
     // Oracle 10, after incremental-divergence for the same stream-stability
     // reason: recorded repro coordinates predate this oracle.
     if (const auto hit = box_index_divergence(scheme, rng)) return *hit;
@@ -305,25 +376,19 @@ CheckOutcome check_instance(const Scheme& scheme, const InstanceFamily& family,
       return violation(Oracle::kRoundTripMismatch, os.str());
     }
 
-  // Oracle 8: every FeasibilitySolver backend is a pure speedup — the batch
-  // prover must reproduce assign()'s certificates bit-for-bit under each of
-  // them, from the cold pristine reference to the SAT core.
+  // Oracle 8, certificate half: the serial batch prover must reproduce
+  // assign()'s certificates bit-for-bit.
   {
-    const auto mismatch = [&](const ProveResult& r) -> std::optional<std::string> {
-      if (!r.certificates.has_value()) return "prove_assignment refused the yes-instance";
-      for (std::size_t v = 0; v < certificates->size(); ++v)
-        if (!((*r.certificates)[v] == (*certificates)[v]))
-          return "vertex " + std::to_string(v) + " diverged from assign()";
-      return std::nullopt;
-    };
-    for (const auto& info : solve::SolverFactory::registry()) {
-      RunOptions opts;
-      opts.num_threads = 1;
-      opts.solver = info.backend;
-      if (const auto why = mismatch(prove_assignment(scheme, g, opts)))
+    RunOptions opts;
+    opts.num_threads = 1;
+    const ProveResult r = prove_assignment(scheme, g, opts);
+    if (!r.certificates.has_value())
+      return violation(Oracle::kSolverDivergence,
+                       "prove_assignment refused the yes-instance");
+    for (std::size_t v = 0; v < certificates->size(); ++v)
+      if (!((*r.certificates)[v] == (*certificates)[v]))
         return violation(Oracle::kSolverDivergence,
-                         std::string(info.name) + ": " + *why);
-    }
+                         "vertex " + std::to_string(v) + " diverged from assign()");
   }
 
   // Oracle 3 + 5: honest verification, and the batched path must agree with
@@ -352,8 +417,7 @@ CheckOutcome check_instance(const Scheme& scheme, const InstanceFamily& family,
 
   // Oracles 9 and 10, last (and in enum order) so their rng draws don't
   // shift the older oracles' streams.
-  if (const auto hit = incremental_divergence(scheme, family, g, rng, attack_budget.solver))
-    return *hit;
+  if (const auto hit = incremental_divergence(scheme, family, g, rng)) return *hit;
   if (const auto hit = box_index_divergence(scheme, rng)) return *hit;
 
   return out;

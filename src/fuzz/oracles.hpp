@@ -19,10 +19,15 @@
 //                             BitReader -> BitWriter round trip
 //   soundness-forgery         attack_soundness forged an accepting
 //                             assignment on a no-instance
-//   solver-divergence         prove_assignment under some FeasibilitySolver
-//                             backend (greedy / warm-flow / cold-flow / sat)
-//                             did not reproduce assign()'s certificates
-//                             bit-for-bit
+//   solver-divergence         at some vertex and state of some rooting of a
+//                             tree instance, the production
+//                             FeasibilitySolver, SatFeasibility and a full
+//                             uop_assign_children_masked sweep chose
+//                             different first feasible boxes (schemes with
+//                             a 1-label, <= 64-state run-forgery automaton;
+//                             runs first, draws no rng); or the serial
+//                             prove_assignment did not reproduce assign()'s
+//                             certificates bit-for-bit
 //   incremental-divergence    a CertifiedInstance driven by streaming edits
 //                             diverged from a cold full re-prove of the
 //                             accumulated graph (certificates must stay

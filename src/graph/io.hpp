@@ -8,6 +8,7 @@
 //   # comment lines and blank lines are ignored
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -15,8 +16,16 @@
 
 namespace lcert {
 
+/// Ceiling on every vertex count read from input: the `n` line of the
+/// edge-list format, and the `n` argument of the CLI verbs. 2^24 =
+/// 16,777,216 vertices is 128x the largest benchmark instance (131,071) and
+/// turns a malformed or hostile count into a clean error instead of an
+/// allocation failure.
+inline constexpr std::size_t kMaxVertexCount = std::size_t{1} << 24;
+
 /// Parses the edge-list format; throws std::invalid_argument with a line
-/// number on malformed input.
+/// number on malformed input, including a vertex count above
+/// kMaxVertexCount.
 Graph parse_edge_list(std::istream& in);
 Graph parse_edge_list(const std::string& text);
 

@@ -76,6 +76,7 @@ std::optional<std::vector<Certificate>> MsoTreeScheme::assign(const Graph& g) co
 std::optional<RunForgerySurface> MsoTreeScheme::run_forgery_surface() const {
   RunForgerySurface surface;
   surface.automaton = &automaton_.automaton;
+  surface.boxes = transition_index_.data();
   // Mirrors assign()'s encoding exactly: 2 bits of depth mod 3, then the
   // state in state_bits_ (floor of 1) bits.
   const unsigned width = state_bits_ == 0 ? 1 : state_bits_;

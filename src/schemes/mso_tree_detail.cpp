@@ -22,10 +22,10 @@ std::vector<std::size_t> SolveCore::extract_from_children(
   solve::FeasibilitySolver& feas = ctx.feasibility(worker);
   feas.begin(child_masks, k);
   std::vector<std::size_t> assignment;
-  // The solver backend only pre-filters boxes (exact, so decide_first lands
-  // on precisely the first box the pristine sweep would accept); the
-  // assignment itself always comes from uop_assign_children_masked, keeping
-  // certificates bit-identical under every backend.
+  // The solver only picks the box (exact, so decide_first lands on precisely
+  // the first box the pristine sweep would accept); the assignment itself
+  // always comes from uop_assign_children_masked, keeping certificates
+  // bit-identical to assign().
   const std::size_t bi = feas.decide_first(boxes[q]);
   if (bi == BoxIndex::npos)
     throw std::logic_error(scheme_name + ": extraction failed after feasibility");

@@ -1,22 +1,23 @@
-// Shared pruning pass of the feasibility backends (DESIGN.md §15).
+// Shared pruning pass of the feasibility deciders (DESIGN.md §15).
 //
-// Every backend except the cold-flow reference answers the per-vertex
-// assignment question in two stages: first this pruner — cheap, conclusive-
-// only checks lifted out of the old UopFeasibility tier 1 — then the
-// backend's own decision procedure on whatever the pruner could not settle.
-// The pruner's contract is exactness: kFeasible/kInfeasible must equal the
-// boolean uop_assign_children_masked would return; kInconclusive says
-// nothing. That is what lets four very different backends share it and still
-// agree bit-for-bit (pinned by the brute-force cross-check tests and the
-// solver-divergence fuzz oracle).
+// Both FeasibilitySolver (the production path) and SatFeasibility answer the
+// per-vertex assignment question in stages: first this pruner — cheap,
+// conclusive-only checks — then their own decision procedure on whatever the
+// pruner could not settle. The pruner's contract is exactness:
+// kFeasible/kInfeasible must equal the boolean uop_assign_children_masked
+// would return; kInconclusive says nothing. That is what lets two very
+// different deciders share it and still agree bit-for-bit (pinned by the
+// brute-force cross-check tests and the solver-divergence fuzz oracle, whose
+// third decider, the pristine uop_assign_children_masked sweep, does not use
+// the pruner at all).
 //
 // prune() covers: unit (unconstrained) boxes, infeasible intervals, stuck
 // children (no usable state), per-state supply vs lower-bound demand, and a
 // Hall cut on the finitely-capped side. combinatorial() adds the exact
 // subset-Hall zeta-transform (when no cap binds and at most 8 states carry
-// demand) and a most-constrained-first greedy witness — the rest of the old
-// greedy tier, used by the greedy and warm-flow backends but deliberately
-// NOT by the SAT backend, so SAT genuinely decides the pruner's residue.
+// demand) and a most-constrained-first greedy witness — used by the
+// production solver but deliberately NOT by SatFeasibility, so the SAT core
+// genuinely decides the pruner's residue.
 #pragma once
 
 #include <cstddef>
@@ -33,10 +34,10 @@ enum class Verdict { kFeasible, kInfeasible, kInconclusive };
 class BoxPruner {
  public:
   /// Starts a new vertex. `child_masks` must already be truncated to
-  /// state_count bits (FeasibilitySolver::begin does this) and must outlive
+  /// state_count bits (ChildMasks::begin does this) and must outlive
   /// every prune()/combinatorial() call of the vertex, as must `raw_supply`
   /// (per state: children whose mask allows it, state_count entries —
-  /// FeasibilitySolver computes it once per begin()).
+  /// ChildMasks computes it once per begin()).
   void begin(std::span<const std::uint64_t> child_masks, std::size_t state_count,
              std::span<const std::size_t> raw_supply);
 

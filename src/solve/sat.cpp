@@ -1,5 +1,12 @@
 #include "src/solve/sat.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <numeric>
+#include <stdexcept>
+
+#include "src/automata/uop_automaton.hpp"
+
 namespace lcert::solve {
 
 namespace {
@@ -8,7 +15,7 @@ constexpr std::int8_t kUnassigned = -1;
 
 }  // namespace
 
-void MiniCdcl::reset() {
+void Dpll::reset() {
   assign_.clear();
   clauses_.clear();
   cards_.clear();
@@ -21,14 +28,14 @@ void MiniCdcl::reset() {
   decisions_ = 0;
 }
 
-std::size_t MiniCdcl::new_var() {
+std::size_t Dpll::new_var() {
   assign_.push_back(kUnassigned);
   var_clauses_.emplace_back();
   var_cards_.emplace_back();
   return assign_.size() - 1;
 }
 
-void MiniCdcl::add_clause(std::vector<std::size_t> lits) {
+void Dpll::add_clause(std::vector<std::size_t> lits) {
   if (lits.empty()) {
     trivially_unsat_ = true;
     return;
@@ -38,7 +45,7 @@ void MiniCdcl::add_clause(std::vector<std::size_t> lits) {
   clauses_.push_back({std::move(lits), 0});
 }
 
-void MiniCdcl::add_cardinality(std::vector<std::size_t> vars, std::size_t lo,
+void Dpll::add_cardinality(std::vector<std::size_t> vars, std::size_t lo,
                                std::size_t hi) {
   if (lo > vars.size()) {
     trivially_unsat_ = true;
@@ -51,14 +58,14 @@ void MiniCdcl::add_cardinality(std::vector<std::size_t> vars, std::size_t lo,
   cards_.push_back({std::move(vars), lo, hi > n ? n : hi, 0, n});
 }
 
-bool MiniCdcl::enqueue(std::size_t var, bool value) {
+bool Dpll::enqueue(std::size_t var, bool value) {
   if (assign_[var] != kUnassigned) return assign_[var] == (value ? 1 : 0);
   assign_[var] = value ? 1 : 0;
   trail_.push_back(var);
   return true;
 }
 
-bool MiniCdcl::propagate() {
+bool Dpll::propagate() {
   while (qhead_ < trail_.size()) {
     const std::size_t var = trail_[qhead_++];
     const bool value = assign_[var] == 1;
@@ -111,7 +118,7 @@ bool MiniCdcl::propagate() {
   return true;
 }
 
-void MiniCdcl::unassign_from(std::size_t trail_pos) {
+void Dpll::unassign_from(std::size_t trail_pos) {
   // Everything below trail_pos was fully propagated before the decision at
   // trail_pos was made, so the frontier rewinds exactly there. Constraint
   // counters are undone symmetrically to propagate(); entries past the old
@@ -137,7 +144,7 @@ void MiniCdcl::unassign_from(std::size_t trail_pos) {
   qhead_ = trail_pos;
 }
 
-bool MiniCdcl::solve() {
+bool Dpll::solve() {
   if (trivially_unsat_) return false;
   decisions_ = 0;
 
@@ -188,6 +195,82 @@ bool MiniCdcl::solve() {
       if (!recovered) return false;  // search space exhausted
     }
   }
+}
+
+void SatFeasibility::begin(std::span<const std::uint64_t> child_masks,
+                           std::size_t state_count) {
+  vertex_.begin(child_masks, state_count);
+  pruner_.begin(vertex_.masks(), state_count, vertex_.supply());
+}
+
+bool SatFeasibility::decide(const IntervalBox& box) {
+  model_valid_ = false;
+  switch (pruner_.prune(box)) {
+    case Verdict::kFeasible: ++counts_.pruned; return true;
+    case Verdict::kInfeasible: ++counts_.pruned; return false;
+    case Verdict::kInconclusive: break;
+  }
+  return sat_decide(box);
+}
+
+bool SatFeasibility::decide_witness(const IntervalBox& box,
+                                    std::vector<std::size_t>& witness) {
+  if (!decide(box)) return false;
+  if (model_valid_) {
+    // Read the model: exactly-one per child guarantees full coverage.
+    witness.assign(vertex_.masks().size(), SIZE_MAX);
+    for (std::size_t v = 0; v < var_child_.size(); ++v)
+      if (sat_.value(v)) witness[var_child_[v]] = var_state_[v];
+    for (std::size_t state : witness)
+      if (state == SIZE_MAX)
+        throw std::logic_error("SatFeasibility: model left a child unassigned");
+    return true;
+  }
+  // The pruner settled it without a model; extract via the pristine flow.
+  if (!uop_assign_children_masked(vertex_.masks(), box, vertex_.state_count(), witness))
+    throw std::logic_error("SatFeasibility: pruner disagrees with the pristine flow");
+  return true;
+}
+
+bool SatFeasibility::sat_decide(const IntervalBox& box) {
+  ++counts_.sat;
+  const auto eff = pruner_.effective_masks();
+  const auto caps = pruner_.caps();
+  const std::size_t m = pruner_.child_count();
+  const std::size_t k = pruner_.state_count();
+
+  sat_.reset();
+  var_child_.clear();
+  var_state_.clear();
+  state_vars_.assign(k, {});
+  child_order_.resize(m);
+  std::iota(child_order_.begin(), child_order_.end(), std::size_t{0});
+  std::sort(child_order_.begin(), child_order_.end(),
+            [&eff](std::size_t x, std::size_t y) {
+              const int px = std::popcount(eff[x]);
+              const int py = std::popcount(eff[y]);
+              return px != py ? px < py : x < y;
+            });
+
+  for (std::size_t i : child_order_) {
+    child_vars_.clear();
+    for (std::uint64_t rest = eff[i]; rest != 0; rest &= rest - 1) {
+      const std::size_t q = static_cast<std::size_t>(std::countr_zero(rest));
+      const std::size_t var = sat_.new_var();
+      var_child_.push_back(i);
+      var_state_.push_back(q);
+      child_vars_.push_back(var);
+      state_vars_[q].push_back(var);
+    }
+    sat_.add_cardinality(child_vars_, 1, 1);
+  }
+  for (std::size_t q = 0; q < k; ++q) {
+    if (state_vars_[q].empty()) continue;  // lo_q == 0 here (supply check)
+    sat_.add_cardinality(state_vars_[q], box.lo[q], static_cast<std::size_t>(caps[q]));
+  }
+
+  model_valid_ = sat_.solve();
+  return model_valid_;
 }
 
 }  // namespace lcert::solve

@@ -1,31 +1,43 @@
-// MiniCdcl: a self-contained propositional solver for cardinality problems
-// (DESIGN.md §15). No external dependencies by design — the container rule
-// is "no new packages", and the problems are tiny (<= 64 children x 64
-// states), so a chronological DPLL with counting propagation over native
-// cardinality constraints beats dragging in a real CDCL solver.
+// The SAT side of the per-vertex feasibility question (DESIGN.md §15): a
+// small propositional core, Dpll, and SatFeasibility, which encodes one
+// vertex's box question for it.
 //
-// Constraint forms:
+// Dpll is a chronological DPLL over clauses and native cardinality
+// constraints. No external dependencies by design — the container rule is
+// "no new packages", and the problems are tiny (<= 64 children x 64
+// states). What it does:
 //   clause      OR of literals (var or negation);
 //   cardinality lo <= (number of true vars among a set) <= hi, propagated by
 //               counters (true/unassigned per constraint): hi reached =>
 //               remaining vars forced false, lo only reachable by taking
-//               every unassigned var => remaining forced true.
+//               every unassigned var => remaining forced true;
+//   search      branch on the lowest-indexed unassigned variable, true first;
+//               a conflict backtracks chronologically to the deepest decision
+//               with an untried polarity.
+// What it does not do: no clause learning, no non-chronological
+// backjumping, no restarts, no activity heuristics, no watched literals. For
+// a fixed problem the trail, the model and the answer are always the same (a
+// determinism-contract requirement, not just a simplification).
 //
-// Search: deterministic — branch on the lowest-indexed unassigned variable,
-// true first; conflicts backtrack chronologically to the deepest decision
-// with an untried polarity. No clause learning, no restarts, no heuristics
-// that could make two runs differ: for a fixed problem the trail, the model
-// and the answer are always the same (a determinism-contract requirement,
-// not just a simplification).
+// SatFeasibility is not the production path (that is FeasibilitySolver,
+// solver.hpp). Its two consumers are the audit's sat-run forgery search,
+// which takes its models as run witnesses, and the solver-divergence fuzz
+// oracle, which needs a second, independent decision procedure.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "src/automata/box_index.hpp"
+#include "src/automata/presburger.hpp"
+#include "src/solve/pruner.hpp"
+#include "src/solve/solver.hpp"
 
 namespace lcert::solve {
 
-class MiniCdcl {
+class Dpll {
  public:
   /// Clears every variable and constraint; keeps buffer capacity.
   void reset();
@@ -93,6 +105,56 @@ class MiniCdcl {
   std::vector<Decision> dstack_;
   bool trivially_unsat_ = false;
   std::size_t decisions_ = 0;
+};
+
+/// The shared pruner, then Dpll on the cardinality encoding for the residue.
+/// The combinatorial stage is skipped on purpose, so the DPLL core, not the
+/// greedy heuristics, decides everything the pruner cannot. Same exactness
+/// contract and per-vertex protocol as FeasibilitySolver.
+///
+/// Encoding: one variable per (child, usable state in the child's effective
+/// mask); exactly-one cardinality per child; per state q a cardinality
+/// lo_q <= #true <= cap_q over the child variables that can take q.
+/// Variables are allocated most-constrained child first, so Dpll's
+/// lowest-index branching rule turns into a real ordering heuristic.
+class SatFeasibility {
+ public:
+  void begin(std::span<const std::uint64_t> child_masks, std::size_t state_count);
+
+  /// Exact: same boolean as uop_assign_children_masked(child_masks, box, ...).
+  bool decide(const IntervalBox& box);
+
+  /// First feasible box of an indexed DNF at the current vertex, or
+  /// BoxIndex::npos (ChildMasks::first_feasible over decide()).
+  std::size_t decide_first(const BoxIndex& index) {
+    return vertex_.first_feasible(index, [this](const IntervalBox& b) { return decide(b); });
+  }
+
+  /// decide() plus a witness (one valid state per child) when feasible: the
+  /// DPLL model, or the pristine extraction when the pruner settled the box.
+  /// Any valid assignment, NOT necessarily the pristine flow's choice.
+  bool decide_witness(const IntervalBox& box, std::vector<std::size_t>& witness);
+
+  /// Per-state raw supply of the current vertex (ChildMasks::supply).
+  std::span<const std::size_t> supply() const noexcept { return vertex_.supply(); }
+
+  /// `pruned` and `sat` only.
+  const DecisionCounts& counts() const noexcept { return counts_; }
+
+ private:
+  bool sat_decide(const IntervalBox& box);
+
+  ChildMasks vertex_;
+  BoxPruner pruner_;
+  Dpll sat_;
+  DecisionCounts counts_;
+  bool model_valid_ = false;
+  // Variable index -> (child, state), plus encode scratch reused per query.
+  std::vector<std::size_t> var_child_;
+  std::vector<std::size_t> var_state_;
+  std::vector<std::vector<std::size_t>> state_vars_;
+  std::vector<std::size_t> child_vars_;
+  std::vector<std::size_t> child_order_;
 };
 
 }  // namespace lcert::solve

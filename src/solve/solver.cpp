@@ -3,22 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <numeric>
-#include <stdexcept>
-
-#include "src/automata/uop_automaton.hpp"
-#include "src/solve/sat.hpp"
-#include "src/util/flow.hpp"
 
 namespace lcert::solve {
 
-void FeasibilitySolver::begin(std::span<const std::uint64_t> child_masks,
-                              std::size_t state_count) {
+void ChildMasks::begin(std::span<const std::uint64_t> child_masks,
+                       std::size_t state_count) {
   if (state_count > 64)
-    throw std::invalid_argument("FeasibilitySolver::begin: state_count > 64");
+    throw std::invalid_argument("ChildMasks::begin: state_count > 64");
   state_count_ = state_count;
   // Only bits q < state_count are meaningful; truncating here keeps every
-  // popcount / union in the pruner and the backends exact.
+  // popcount / union in the pruner and the deciders exact.
   const std::uint64_t keep =
       state_count == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << state_count) - 1);
   masks_.assign(child_masks.begin(), child_masks.end());
@@ -27,306 +21,93 @@ void FeasibilitySolver::begin(std::span<const std::uint64_t> child_masks,
   for (const std::uint64_t mask : masks_)
     for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1)
       ++supply_[static_cast<std::size_t>(std::countr_zero(rest))];
-  on_begin();
 }
 
-std::size_t FeasibilitySolver::decide_first(const BoxIndex& index) {
-  if (index.size() == 0) return BoxIndex::npos;
-  if (index.arity() != state_count_)
-    throw std::invalid_argument("FeasibilitySolver::decide_first: wrong arity");
-  BoxIndex::Cursor cur = index.feasibility_candidates(supply_.data(), masks_.size());
-  for (std::size_t i = cur.next(); i != BoxIndex::npos; i = cur.next())
-    if (decide(index.box(i))) return i;
-  return BoxIndex::npos;
+void FeasibilitySolver::begin(std::span<const std::uint64_t> child_masks,
+                              std::size_t state_count) {
+  vertex_.begin(child_masks, state_count);
+  pruner_.begin(vertex_.masks(), state_count, vertex_.supply());
+  net_built_ = false;
 }
 
-bool FeasibilitySolver::decide_witness(const IntervalBox& box,
-                                       std::vector<std::size_t>& witness) {
-  if (!decide(box)) return false;
-  if (!uop_assign_children_masked(masks_, box, state_count_, witness))
-    throw std::logic_error("FeasibilitySolver: decision disagrees with the pristine flow");
-  return true;
+bool FeasibilitySolver::decide(const IntervalBox& box) {
+  switch (pruner_.prune(box)) {
+    case Verdict::kFeasible: ++counts_.pruned; return true;
+    case Verdict::kInfeasible: ++counts_.pruned; return false;
+    case Verdict::kInconclusive: break;
+  }
+  switch (pruner_.combinatorial(box)) {
+    case Verdict::kFeasible: ++counts_.greedy; return true;
+    case Verdict::kInfeasible: ++counts_.greedy; return false;
+    case Verdict::kInconclusive: break;
+  }
+  return flow_decide(box);
 }
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// cold-flow: the pristine reference. One BoundedFlowProblem build per query,
-// no pruner — exactly the pre-seam path, kept as the differential baseline
-// every other backend is cross-checked against.
-// ---------------------------------------------------------------------------
-class ColdFlowBackend final : public FeasibilitySolver {
- public:
-  Backend backend() const noexcept override { return Backend::kColdFlow; }
-
-  bool decide(const IntervalBox& box) override {
+bool FeasibilitySolver::flow_decide(const IntervalBox& box) {
+  // Reached only when prune() was inconclusive, so the pristine pre-checks
+  // already passed: m > 0, lo <= hi, lo_sum <= m, cap >= lo.
+  const bool rebuilt = !net_built_;
+  if (!net_built_) build_network();
+  const std::size_t m = vertex_.masks().size();
+  const std::size_t k = vertex_.state_count();
+  std::int64_t lo_sum = 0;
+  for (std::size_t q = 0; q < k; ++q) {
+    const auto lo = static_cast<std::int64_t>(box.lo[q]);
+    const std::int64_t cap =
+        box.hi[q] == IntervalBox::kUnbounded
+            ? static_cast<std::int64_t>(m)
+            : static_cast<std::int64_t>(std::min(box.hi[q], m));
+    net_.set_capacity(state_sink_edge_[q], cap - lo);
+    net_.set_capacity(state_super_edge_[q], lo);
+    lo_sum += lo;
+  }
+  net_.set_capacity(super_child_sink_edge_, lo_sum);
+  net_.reset_flows();
+  const std::int64_t achieved = net_.run(m + k + 2, m + k + 3);
+  if (rebuilt)
     ++counts_.flow;
-    return uop_assign_children_masked(masks(), box, state_count(), assignment_);
-  }
-
-  bool decide_witness(const IntervalBox& box,
-                      std::vector<std::size_t>& witness) override {
-    ++counts_.flow;
-    return uop_assign_children_masked(masks(), box, state_count(), witness);
-  }
-
- private:
-  std::vector<std::size_t> assignment_;  ///< scratch, reused across calls
-};
-
-// ---------------------------------------------------------------------------
-// greedy: shared pruner + combinatorial stage; whatever stays inconclusive
-// falls back to a cold pristine build per query.
-// ---------------------------------------------------------------------------
-class GreedyBackend : public FeasibilitySolver {
- public:
-  Backend backend() const noexcept override { return Backend::kGreedy; }
-
-  bool decide(const IntervalBox& box) override {
-    switch (pruner_.prune(box)) {
-      case Verdict::kFeasible: ++counts_.pruned; return true;
-      case Verdict::kInfeasible: ++counts_.pruned; return false;
-      case Verdict::kInconclusive: break;
-    }
-    switch (pruner_.combinatorial(box)) {
-      case Verdict::kFeasible: ++counts_.greedy; return true;
-      case Verdict::kInfeasible: ++counts_.greedy; return false;
-      case Verdict::kInconclusive: break;
-    }
-    return residual_decide(box);
-  }
-
- protected:
-  void on_begin() override { pruner_.begin(masks(), state_count(), supply()); }
-
-  /// Exact decision for the residue both stages left inconclusive.
-  virtual bool residual_decide(const IntervalBox& box) {
-    ++counts_.flow;
-    return uop_assign_children_masked(masks(), box, state_count(), assignment_);
-  }
-
-  BoxPruner pruner_;
-
- private:
-  std::vector<std::size_t> assignment_;
-};
-
-// ---------------------------------------------------------------------------
-// warm-flow (default): greedy's stages, but the residue goes to a warm Dinic
-// circulation whose structure (child -> state edges) is built on the first
-// residual query of a vertex and re-bounded in place for every later one.
-// ---------------------------------------------------------------------------
-class WarmFlowBackend final : public GreedyBackend {
- public:
-  Backend backend() const noexcept override { return Backend::kWarmFlow; }
-
- protected:
-  void on_begin() override {
-    GreedyBackend::on_begin();
-    net_built_ = false;
-  }
-
-  bool residual_decide(const IntervalBox& box) override {
-    // Reached only when prune() was inconclusive, so the pristine pre-checks
-    // already passed: m > 0, lo <= hi, lo_sum <= m, cap >= lo.
-    const bool rebuilt = !net_built_;
-    if (!net_built_) build_structure();
-    const std::size_t m = masks().size();
-    const std::size_t k = state_count();
-    std::int64_t lo_sum = 0;
-    for (std::size_t q = 0; q < k; ++q) {
-      const auto lo = static_cast<std::int64_t>(box.lo[q]);
-      const std::int64_t cap =
-          box.hi[q] == IntervalBox::kUnbounded
-              ? static_cast<std::int64_t>(m)
-              : static_cast<std::int64_t>(std::min(box.hi[q], m));
-      net_.set_capacity(state_sink_edge_[q], cap - lo);
-      net_.set_capacity(state_super_edge_[q], lo);
-      lo_sum += lo;
-    }
-    net_.set_capacity(super_child_sink_edge_, lo_sum);
-    net_.reset_flows();
-    const std::int64_t achieved = net_.run(m + k + 2, m + k + 3);
-    if (rebuilt)
-      ++counts_.flow;
-    else
-      ++counts_.warm;
-    return achieved == static_cast<std::int64_t>(m) + lo_sum;
-  }
-
- private:
-  void build_structure() {
-    // Circulation-with-lower-bounds over the bipartite assignment network,
-    // pre-reduced so only capacities change between boxes. Original problem:
-    // S -> child [1,1], child -> state [0,1], state_q -> T [lo_q, cap_q], plus
-    // the T -> S return edge. The standard reduction moves every lower bound
-    // onto super-source/super-sink edges:
-    //   SS -> child (1)        from the child's saturated S -> child edge
-    //   S  -> TT (m)           the m units S owes its children
-    //   state_q -> T (cap-lo)  the residual choice above the lower bound
-    //   state_q -> TT (lo_q)   the lower bound itself
-    //   SS -> T (lo_sum)       T's matching surplus
-    // Feasible iff maxflow(SS, TT) == m + lo_sum. Only the three
-    // starred-by-box capacities move per query; adjacency is built once per
-    // vertex.
-    const std::size_t m = masks().size();
-    const std::size_t k = state_count();
-    const std::size_t s_node = m + k;
-    const std::size_t t_node = m + k + 1;
-    const std::size_t super_source = m + k + 2;
-    const std::size_t super_sink = m + k + 3;
-    net_.reset(m + k + 4);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::uint64_t rest = masks()[i]; rest != 0; rest &= rest - 1)
-        net_.add_edge(i, m + static_cast<std::size_t>(std::countr_zero(rest)), 1);
-      net_.add_edge(super_source, i, 1);
-    }
-    state_sink_edge_.assign(k, 0);
-    state_super_edge_.assign(k, 0);
-    for (std::size_t q = 0; q < k; ++q) {
-      state_sink_edge_[q] = net_.add_edge(m + q, t_node, 0);
-      state_super_edge_[q] = net_.add_edge(m + q, super_sink, 0);
-    }
-    net_.add_edge(t_node, s_node, std::numeric_limits<std::int64_t>::max() / 4);
-    net_.add_edge(s_node, super_sink, static_cast<std::int64_t>(m));
-    super_child_sink_edge_ = net_.add_edge(super_source, t_node, 0);
-    net_built_ = true;
-  }
-
-  DinicScratch net_;
-  bool net_built_ = false;
-  std::vector<std::size_t> state_sink_edge_;   ///< per state: state->sink slot
-  std::vector<std::size_t> state_super_edge_;  ///< per state: state->super-sink slot
-  std::size_t super_child_sink_edge_ = 0;      ///< super-source->sink slot
-};
-
-// ---------------------------------------------------------------------------
-// sat: shared pruner, then MiniCdcl on the cardinality encoding. The
-// combinatorial stage is skipped on purpose — the point of this backend is
-// differential coverage, so the SAT core should decide everything the cheap
-// pruner cannot, not inherit the greedy heuristics' answers.
-//
-// Encoding: one variable per (child, usable state in the child's effective
-// mask); exactly-one cardinality per child; per state q a cardinality
-// lo_q <= #true <= cap_q over the child variables that can take q. Variables
-// are allocated most-constrained child first, so MiniCdcl's lowest-index
-// branching rule turns into a real ordering heuristic.
-// ---------------------------------------------------------------------------
-class SatBackend final : public FeasibilitySolver {
- public:
-  Backend backend() const noexcept override { return Backend::kSat; }
-
-  bool decide(const IntervalBox& box) override {
-    model_valid_ = false;
-    switch (pruner_.prune(box)) {
-      case Verdict::kFeasible: ++counts_.pruned; return true;
-      case Verdict::kInfeasible: ++counts_.pruned; return false;
-      case Verdict::kInconclusive: break;
-    }
-    return sat_decide(box);
-  }
-
-  bool decide_witness(const IntervalBox& box,
-                      std::vector<std::size_t>& witness) override {
-    if (!decide(box)) return false;
-    if (model_valid_) {
-      // Read the model: exactly-one per child guarantees full coverage.
-      witness.assign(masks().size(), SIZE_MAX);
-      for (std::size_t v = 0; v < var_child_.size(); ++v)
-        if (sat_.value(v)) witness[var_child_[v]] = var_state_[v];
-      for (std::size_t state : witness)
-        if (state == SIZE_MAX)
-          throw std::logic_error("SatBackend: model left a child unassigned");
-      return true;
-    }
-    // The pruner settled it without a model; extract via the pristine flow.
-    if (!uop_assign_children_masked(masks(), box, state_count(), witness))
-      throw std::logic_error("SatBackend: pruner disagrees with the pristine flow");
-    return true;
-  }
-
- protected:
-  void on_begin() override { pruner_.begin(masks(), state_count(), supply()); }
-
- private:
-  bool sat_decide(const IntervalBox& box) {
-    ++counts_.sat;
-    const auto eff = pruner_.effective_masks();
-    const auto caps = pruner_.caps();
-    const std::size_t m = pruner_.child_count();
-    const std::size_t k = pruner_.state_count();
-
-    sat_.reset();
-    var_child_.clear();
-    var_state_.clear();
-    state_vars_.assign(k, {});
-    child_order_.resize(m);
-    std::iota(child_order_.begin(), child_order_.end(), std::size_t{0});
-    std::sort(child_order_.begin(), child_order_.end(),
-              [&eff](std::size_t x, std::size_t y) {
-                const int px = std::popcount(eff[x]);
-                const int py = std::popcount(eff[y]);
-                return px != py ? px < py : x < y;
-              });
-
-    for (std::size_t i : child_order_) {
-      child_vars_.clear();
-      for (std::uint64_t rest = eff[i]; rest != 0; rest &= rest - 1) {
-        const std::size_t q = static_cast<std::size_t>(std::countr_zero(rest));
-        const std::size_t var = sat_.new_var();
-        var_child_.push_back(i);
-        var_state_.push_back(q);
-        child_vars_.push_back(var);
-        state_vars_[q].push_back(var);
-      }
-      sat_.add_cardinality(child_vars_, 1, 1);
-    }
-    for (std::size_t q = 0; q < k; ++q) {
-      if (state_vars_[q].empty()) continue;  // lo_q == 0 here (supply check)
-      sat_.add_cardinality(state_vars_[q], box.lo[q],
-                           static_cast<std::size_t>(caps[q]));
-    }
-
-    model_valid_ = sat_.solve();
-    return model_valid_;
-  }
-
-  BoxPruner pruner_;
-  MiniCdcl sat_;
-  bool model_valid_ = false;
-  // Variable index -> (child, state), plus encode scratch reused per query.
-  std::vector<std::size_t> var_child_;
-  std::vector<std::size_t> var_state_;
-  std::vector<std::vector<std::size_t>> state_vars_;
-  std::vector<std::size_t> child_vars_;
-  std::vector<std::size_t> child_order_;
-};
-
-constexpr SolverFactory::BackendInfo kRegistry[] = {
-    {Backend::kGreedy, "greedy",
-     "shared pruner + combinatorial decisions, cold pristine-flow fallback"},
-    {Backend::kWarmFlow, "warm-flow",
-     "shared pruner + combinatorial decisions, warm Dinic circulation fallback (default)"},
-    {Backend::kColdFlow, "cold-flow",
-     "pristine bounded-flow build per query (the differential reference)"},
-    {Backend::kSat, "sat",
-     "shared pruner + DPLL on the box-interval cardinality encoding"},
-};
-
-}  // namespace
-
-std::unique_ptr<FeasibilitySolver> SolverFactory::make(Backend backend) {
-  switch (backend) {
-    case Backend::kColdFlow: return std::make_unique<ColdFlowBackend>();
-    case Backend::kGreedy: return std::make_unique<GreedyBackend>();
-    case Backend::kWarmFlow: return std::make_unique<WarmFlowBackend>();
-    case Backend::kSat: return std::make_unique<SatBackend>();
-  }
-  throw std::invalid_argument("SolverFactory::make: unknown backend");
+  else
+    ++counts_.warm;
+  return achieved == static_cast<std::int64_t>(m) + lo_sum;
 }
 
-std::span<const SolverFactory::BackendInfo> SolverFactory::registry() {
-  return kRegistry;
+void FeasibilitySolver::build_network() {
+  // Circulation-with-lower-bounds over the bipartite assignment network,
+  // pre-reduced so only capacities change between boxes. Original problem:
+  // S -> child [1,1], child -> state [0,1], state_q -> T [lo_q, cap_q], plus
+  // the T -> S return edge. The standard reduction moves every lower bound
+  // onto super-source/super-sink edges:
+  //   SS -> child (1)        from the child's saturated S -> child edge
+  //   S  -> TT (m)           the m units S owes its children
+  //   state_q -> T (cap-lo)  the residual choice above the lower bound
+  //   state_q -> TT (lo_q)   the lower bound itself
+  //   SS -> T (lo_sum)       T's matching surplus
+  // Feasible iff maxflow(SS, TT) == m + lo_sum. Only the last three
+  // capacities move per query; adjacency is built once per vertex.
+  const auto masks = vertex_.masks();
+  const std::size_t m = masks.size();
+  const std::size_t k = vertex_.state_count();
+  const std::size_t s_node = m + k;
+  const std::size_t t_node = m + k + 1;
+  const std::size_t super_source = m + k + 2;
+  const std::size_t super_sink = m + k + 3;
+  net_.reset(m + k + 4);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::uint64_t rest = masks[i]; rest != 0; rest &= rest - 1)
+      net_.add_edge(i, m + static_cast<std::size_t>(std::countr_zero(rest)), 1);
+    net_.add_edge(super_source, i, 1);
+  }
+  state_sink_edge_.assign(k, 0);
+  state_super_edge_.assign(k, 0);
+  for (std::size_t q = 0; q < k; ++q) {
+    state_sink_edge_[q] = net_.add_edge(m + q, t_node, 0);
+    state_super_edge_[q] = net_.add_edge(m + q, super_sink, 0);
+  }
+  net_.add_edge(t_node, s_node, std::numeric_limits<std::int64_t>::max() / 4);
+  net_.add_edge(s_node, super_sink, static_cast<std::int64_t>(m));
+  super_child_sink_edge_ = net_.add_edge(super_source, t_node, 0);
+  net_built_ = true;
 }
 
 }  // namespace lcert::solve

@@ -1,50 +1,43 @@
-// The pluggable FeasibilitySolver seam (DESIGN.md §15).
+// The production feasibility solver (DESIGN.md §15).
 //
 // Every MSO scheme reduces to one per-vertex question — can the children
 // pick states from their feasibility masks so the per-state counts land in
-// an interval box? — and this interface is where that question is answered.
-// The prover, find_accepting_run and the incremental repair path all hold a
-// FeasibilitySolver and never know which backend is behind it.
+// an interval box? — and FeasibilitySolver is the one production answer to
+// it. The prover, find_accepting_run and the incremental repair path all
+// hold one. It decides in three stages, cheapest first: the shared
+// BoxPruner's pre-checks, its combinatorial stage, and for whatever both
+// leave inconclusive a warm Dinic circulation whose structure is built once
+// per vertex and only re-bounded per box.
 //
 // Exactness contract (the load-bearing invariant): decide(box) returns the
 // exact boolean of uop_assign_children_masked for the masks passed to
-// begin(). Decisions may be produced by any procedure; *assignments* in the
-// prover always come from the pristine flow build, so certificates are
-// bit-identical across every backend, thread count and memo setting. The
-// contract is pinned three ways: the brute-force cross-check tests, the
-// registry-wide backend sweep, and the solver-divergence fuzz oracle in
-// every trial.
-//
-// Backends (SolverFactory::make):
-//   cold-flow  the pristine reference: one BoundedFlowProblem per query,
-//              no pruner — this IS the pre-seam path, kept as the
-//              differential baseline;
-//   greedy     shared pruner + combinatorial stage, cold-flow fallback for
-//              the inconclusive residue;
-//   warm-flow  shared pruner + combinatorial stage, warm Dinic circulation
-//              fallback (structure built once per vertex) — the default;
-//   sat        shared pruner + DPLL on the cardinality encoding (sat.hpp);
-//              the combinatorial stage is skipped on purpose so the SAT
-//              core, not the greedy heuristics, decides the residue.
+// begin(). Decisions only choose the box; *assignments* in the prover always
+// come from the pristine flow build, so certificates equal assign()'s for
+// every thread count and memo setting. The contract is pinned by the
+// brute-force cross-check tests and by the solver-divergence fuzz oracle,
+// which compares this solver's first feasible box against SatFeasibility
+// (sat.hpp) and a full uop_assign_children_masked sweep at every vertex and
+// state of every MSO trial tree.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "src/automata/box_index.hpp"
 #include "src/automata/presburger.hpp"
-#include "src/solve/backend.hpp"
 #include "src/solve/pruner.hpp"
+#include "src/util/flow.hpp"
 
 namespace lcert::solve {
 
-/// How the queries resolved, by deciding stage (not by backend): `pruned`
-/// counts the shared pruner's conclusive answers, `greedy` the combinatorial
-/// stage's, `warm`/`flow` the warm-vs-rebuilt Dinic split, `sat` the DPLL
-/// decisions. Classification depends only on the per-vertex query sequence,
-/// so totals are thread-count invariant when that sequence is.
+/// How the queries resolved, by deciding stage: `pruned` counts the shared
+/// pruner's conclusive answers, `greedy` the combinatorial stage's,
+/// `warm`/`flow` the warm-vs-rebuilt Dinic split, `sat` the DPLL decisions
+/// (SatFeasibility only; the production solver never reaches it).
+/// Classification depends only on the per-vertex query sequence, so totals
+/// are thread-count invariant when that sequence is.
 struct DecisionCounts {
   std::uint64_t pruned = 0;
   std::uint64_t greedy = 0;
@@ -64,56 +57,34 @@ struct DecisionCounts {
   }
 };
 
-/// One instance is per-worker scratch: warm across vertices within a run,
-/// zero steady-state allocations once warm, not thread-safe.
-class FeasibilitySolver {
+/// One vertex's child feasibility masks, as both deciders (this header's
+/// FeasibilitySolver and sat.hpp's SatFeasibility) judge boxes against them.
+class ChildMasks {
  public:
-  virtual ~FeasibilitySolver() = default;
-
-  virtual Backend backend() const noexcept = 0;
-
-  /// Starts a new vertex: the child feasibility masks every following
-  /// decide() call is judged against. Copies the masks (truncated to
-  /// state_count bits, which must be <= 64).
+  /// Copies the masks, truncated to state_count bits (which must be <= 64),
+  /// and counts the per-state supply.
   void begin(std::span<const std::uint64_t> child_masks, std::size_t state_count);
-
-  /// Decision for one interval box at the current vertex. Exact: same
-  /// boolean as uop_assign_children_masked(child_masks, box, ...).
-  virtual bool decide(const IntervalBox& box) = 0;
-
-  /// First feasible box of an indexed DNF at the current vertex, or
-  /// BoxIndex::npos. Iterates the index's feasibility candidates (boxes the
-  /// necessary conditions lo[q] <= supply[q], sum(lo) <= child_count cannot
-  /// reject) in DNF order, so the answer equals a full decide() sweep —
-  /// skipped boxes are provably infeasible. Shared by every backend; this is
-  /// how all four iterate candidates instead of the full DNF.
-  std::size_t decide_first(const BoxIndex& index);
-
-  /// decide() plus a witness (one valid state per child) when feasible. The
-  /// witness is any valid assignment, NOT necessarily the pristine flow's
-  /// choice — provers that need bit-identical certificates must extract via
-  /// uop_assign_children_masked instead; this entry point serves the
-  /// forgery search, which only needs validity. The default runs decide()
-  /// and then the pristine extraction; the SAT backend reads its model.
-  virtual bool decide_witness(const IntervalBox& box, std::vector<std::size_t>& witness);
-
-  const DecisionCounts& counts() const noexcept { return counts_; }
-
- protected:
-  /// Hook after begin() stored the masks (rebuild per-vertex structures).
-  virtual void on_begin() {}
 
   std::span<const std::uint64_t> masks() const noexcept { return masks_; }
   std::size_t state_count() const noexcept { return state_count_; }
-
- public:
-  /// Per-state raw supply for the current vertex: supply()[q] = number of
-  /// children whose (truncated) mask allows state q. Computed once in
-  /// begin(); feeds decide_first and the pruner's raw-supply early reject.
+  /// supply()[q] = number of children whose (truncated) mask allows state q.
   std::span<const std::size_t> supply() const noexcept { return supply_; }
 
- protected:
-  DecisionCounts counts_;
+  /// First box of `index` that `decide` accepts, or BoxIndex::npos. Iterates
+  /// the index's feasibility candidates (boxes the necessary conditions
+  /// lo[q] <= supply[q], sum(lo) <= child count cannot reject) in DNF order,
+  /// so the answer equals a full decide() sweep — skipped boxes are provably
+  /// infeasible.
+  template <typename Decide>
+  std::size_t first_feasible(const BoxIndex& index, Decide&& decide) const {
+    if (index.size() == 0) return BoxIndex::npos;
+    if (index.arity() != state_count_)
+      throw std::invalid_argument("ChildMasks::first_feasible: wrong arity");
+    BoxIndex::Cursor cur = index.feasibility_candidates(supply_.data(), masks_.size());
+    for (std::size_t i = cur.next(); i != BoxIndex::npos; i = cur.next())
+      if (decide(index.box(i))) return i;
+    return BoxIndex::npos;
+  }
 
  private:
   std::vector<std::uint64_t> masks_;  ///< truncated to state_count bits
@@ -121,20 +92,40 @@ class FeasibilitySolver {
   std::size_t state_count_ = 0;
 };
 
-/// The backend registry. Fixed table today (the enum is closed), but every
-/// consumer goes through make()/info(), so a new decision procedure lands by
-/// adding one entry — the prover, the fuzz oracle, the CLI and the audit
-/// pick it up without edits.
-class SolverFactory {
+/// One instance is per-worker scratch: warm across vertices within a run,
+/// zero steady-state allocations once warm, not thread-safe, and not to be
+/// moved between begin() and the decisions it starts.
+class FeasibilitySolver {
  public:
-  struct BackendInfo {
-    Backend backend;
-    const char* name;
-    const char* description;
-  };
+  /// Starts a new vertex: the child feasibility masks every following
+  /// decide() call is judged against.
+  void begin(std::span<const std::uint64_t> child_masks, std::size_t state_count);
 
-  static std::unique_ptr<FeasibilitySolver> make(Backend backend);
-  static std::span<const BackendInfo> registry();
+  /// Decision for one interval box at the current vertex. Exact: same
+  /// boolean as uop_assign_children_masked(child_masks, box, ...).
+  bool decide(const IntervalBox& box);
+
+  /// First feasible box of an indexed DNF at the current vertex, or
+  /// BoxIndex::npos (ChildMasks::first_feasible over decide()).
+  std::size_t decide_first(const BoxIndex& index) {
+    return vertex_.first_feasible(index, [this](const IntervalBox& b) { return decide(b); });
+  }
+
+  const DecisionCounts& counts() const noexcept { return counts_; }
+
+ private:
+  /// Exact decision for the residue both pruner stages left inconclusive.
+  bool flow_decide(const IntervalBox& box);
+  void build_network();
+
+  ChildMasks vertex_;
+  BoxPruner pruner_;
+  DecisionCounts counts_;
+  DinicScratch net_;
+  bool net_built_ = false;
+  std::vector<std::size_t> state_sink_edge_;   ///< per state: state->sink slot
+  std::vector<std::size_t> state_super_edge_;  ///< per state: state->super-sink slot
+  std::size_t super_child_sink_edge_ = 0;      ///< super-source->sink slot
 };
 
 }  // namespace lcert::solve

@@ -1,7 +1,7 @@
 // BoxIndex determinism contract (DESIGN.md §16): the index must answer
 // first_containing with the identical first-match index a linear sweep
 // produces, and its feasibility candidate cursor must preserve the first
-// feasible box under every solver backend. These tests pin the contract on
+// feasible box under both feasibility deciders. These tests pin the contract on
 // random box sets, on every library automaton, and on the degenerate cases
 // (empty index, empty cursor, arity mismatch).
 #include <gtest/gtest.h>
@@ -12,6 +12,8 @@
 #include "src/automata/box_index.hpp"
 #include "src/automata/library.hpp"
 #include "src/automata/presburger.hpp"
+#include "src/automata/uop_automaton.hpp"
+#include "src/solve/sat.hpp"
 #include "src/solve/solver.hpp"
 #include "src/util/rng.hpp"
 
@@ -107,26 +109,28 @@ TEST(BoxIndex, DecideFirstMatchesFullSweepOnEveryBackend) {
     std::vector<std::uint64_t> masks(m);
     for (auto& mask : masks) mask = rng.uniform(0, keep);
 
-    for (const auto& info : solve::SolverFactory::registry()) {
-      const auto feas = solve::SolverFactory::make(info.backend);
-      feas->begin(masks, k);
+    const auto check = [&](auto& feas, const char* name) {
+      feas.begin(masks, k);
       std::size_t sweep_first = BoxIndex::npos;
       for (std::size_t i = 0; i < idx.size(); ++i)
-        if (feas->decide(idx.box(i))) {
+        if (feas.decide(idx.box(i))) {
           sweep_first = i;
           break;
         }
-      EXPECT_EQ(feas->decide_first(idx), sweep_first)
-          << info.name << " trial " << trial;
-    }
+      EXPECT_EQ(feas.decide_first(idx), sweep_first) << name << " trial " << trial;
+    };
+    solve::FeasibilitySolver production;
+    solve::SatFeasibility sat;
+    check(production, "production");
+    check(sat, "sat");
   }
 }
 
 TEST(BoxIndex, SupplyCountsChildrenPerState) {
-  const auto feas = solve::SolverFactory::make(solve::kDefaultBackend);
+  solve::ChildMasks vertex;
   const std::vector<std::uint64_t> masks = {0b101, 0b011, 0b100};
-  feas->begin(masks, 3);
-  const auto supply = feas->supply();
+  vertex.begin(masks, 3);
+  const auto supply = vertex.supply();
   ASSERT_EQ(supply.size(), 3u);
   EXPECT_EQ(supply[0], 2u);
   EXPECT_EQ(supply[1], 1u);
@@ -144,16 +148,17 @@ TEST(BoxIndex, FeasibilityCandidatesKeepEveryFeasibleBox) {
     std::vector<std::uint64_t> masks(m);
     for (auto& mask : masks) mask = rng.uniform(0, keep);
 
-    const auto feas = solve::SolverFactory::make(solve::Backend::kColdFlow);
-    feas->begin(masks, k);
+    solve::ChildMasks vertex;
+    vertex.begin(masks, k);
     std::vector<bool> candidate(idx.size(), false);
-    auto cur = idx.feasibility_candidates(feas->supply().data(), m);
+    auto cur = idx.feasibility_candidates(vertex.supply().data(), m);
     for (std::size_t i = cur.next(); i != BoxIndex::npos; i = cur.next()) {
       ASSERT_LT(i, idx.size());
       candidate[i] = true;
     }
+    std::vector<std::size_t> assignment;
     for (std::size_t i = 0; i < idx.size(); ++i)
-      if (feas->decide(idx.box(i)))
+      if (uop_assign_children_masked(masks, idx.box(i), k, assignment))
         EXPECT_TRUE(candidate[i]) << "feasible box " << i << " filtered out";
   }
 }

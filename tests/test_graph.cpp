@@ -7,6 +7,7 @@
 
 #include "src/graph/connectivity.hpp"
 #include "src/graph/generators.hpp"
+#include "src/graph/io.hpp"
 #include "src/graph/minors.hpp"
 #include "src/graph/rooted_tree.hpp"
 #include "src/graph/tree_iso.hpp"
@@ -317,6 +318,23 @@ TEST(Generators, GlueAtApex) {
   EXPECT_EQ(g.edge_count(), 4u + 5u + 2u);
   EXPECT_TRUE(g.is_connected());
   EXPECT_EQ(g.degree(0), 2u);
+}
+
+// A vertex count above the stated ceiling is a parse error naming its line,
+// not an allocation failure.
+TEST(EdgeListCeiling, RejectsVertexCountsAboveTheCeiling) {
+  static_assert(kMaxVertexCount > 131071);
+  try {
+    parse_edge_list("# header\nn 3000000000\n");
+    FAIL() << "n 3000000000 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("at line 2"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("ceiling"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(parse_edge_list("n " + std::to_string(kMaxVertexCount + 1) + "\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_edge_list("n -5\n"), std::invalid_argument);
+  EXPECT_EQ(parse_edge_list("n 5\ne 0 1\n").vertex_count(), 5u);
 }
 
 }  // namespace

@@ -36,8 +36,9 @@ void expect_bit_identical(const std::vector<Certificate>& a,
 class ProverPipelineSweep : public ::testing::TestWithParam<std::size_t> {};
 
 // The contract every prove_batch override signs: its output is exactly
-// assign()'s output, for every thread count, memo on or off, and under every
-// FeasibilitySolver backend (cold-flow reference, greedy, warm-flow, SAT).
+// assign()'s output, for every thread count and memo on or off. (The name
+// predates the single production solver; solver decisions are pinned by the
+// deciders' cross-check tests and the solver-divergence fuzz oracle.)
 TEST_P(ProverPipelineSweep, BatchMatchesAssignAcrossThreadsMemoAndSolvers) {
   const auto entry = scheme_registry().at(GetParam());
   const auto scheme = entry.make();
@@ -49,20 +50,15 @@ TEST_P(ProverPipelineSweep, BatchMatchesAssignAcrossThreadsMemoAndSolvers) {
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     for (const bool memo : {true, false}) {
-      for (const auto& info : solve::SolverFactory::registry()) {
-        RunOptions options;
-        options.num_threads = threads;
-        options.memoize = memo;
-        options.solver = info.backend;
-        const ProveResult result = prove_assignment(*scheme, g, options);
-        ASSERT_TRUE(result.certificates.has_value())
-            << entry.key << " threads=" << threads << " memo=" << memo
-            << " solver=" << info.name;
-        expect_bit_identical(*baseline, *result.certificates,
-                             entry.key + " threads=" + std::to_string(threads) +
-                                 " memo=" + (memo ? std::string("on") : "off") +
-                                 " solver=" + info.name);
-      }
+      RunOptions options;
+      options.num_threads = threads;
+      options.memoize = memo;
+      const ProveResult result = prove_assignment(*scheme, g, options);
+      ASSERT_TRUE(result.certificates.has_value())
+          << entry.key << " threads=" << threads << " memo=" << memo;
+      expect_bit_identical(*baseline, *result.certificates,
+                           entry.key + " threads=" + std::to_string(threads) +
+                               " memo=" + (memo ? std::string("on") : "off"));
     }
   }
 }

@@ -1,16 +1,16 @@
 // The UOP per-vertex feasibility core (DESIGN.md §12/§15): edge cases of the
 // pristine uop_assign_children_masked solver, and the exactness contract of
-// the FeasibilitySolver backends — every backend must produce the same
-// boolean as brute-force enumeration, and the backend-filtered extraction
-// must land on the same box (hence the same assignment) as the pristine scan.
+// both deciders, the production FeasibilitySolver and SatFeasibility — each
+// must produce the same boolean as brute-force enumeration, and the first box
+// it accepts must be the first box the pristine scan accepts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/automata/presburger.hpp"
 #include "src/automata/uop_automaton.hpp"
+#include "src/solve/sat.hpp"
 #include "src/solve/solver.hpp"
 #include "src/util/rng.hpp"
 
@@ -45,12 +45,17 @@ bool brute_force_feasible(const std::vector<std::uint64_t>& masks,
   }
 }
 
-std::vector<std::unique_ptr<solve::FeasibilitySolver>> all_backends() {
-  std::vector<std::unique_ptr<solve::FeasibilitySolver>> backends;
-  for (const auto& info : solve::SolverFactory::registry())
-    backends.push_back(solve::SolverFactory::make(info.backend));
-  return backends;
-}
+// Both deciders, so a test can run one body on each.
+struct Deciders {
+  solve::FeasibilitySolver production;
+  solve::SatFeasibility sat;
+
+  template <typename Fn>
+  void each(Fn&& fn) {
+    fn(production, "production");
+    fn(sat, "sat");
+  }
+};
 
 TEST(UopAssignMasked, EmptyChildSpan) {
   std::vector<std::uint64_t> no_children;
@@ -77,15 +82,16 @@ TEST(UopAssignMasked, StateCount64Boundary) {
   EXPECT_EQ(assignment[0], 63u);
   EXPECT_EQ(assignment[1], 62u);
 
-  for (const auto& feas : all_backends()) {
-    feas->begin(masks, k);
-    EXPECT_TRUE(feas->decide(box)) << solve::backend_name(feas->backend());
-  }
+  Deciders deciders;
+  deciders.each([&](auto& feas, const char* name) {
+    feas.begin(masks, k);
+    EXPECT_TRUE(feas.decide(box)) << name;
+  });
   box.lo[61] = 1;  // no child can supply state 61
-  for (const auto& feas : all_backends()) {
-    feas->begin(masks, k);
-    EXPECT_FALSE(feas->decide(box)) << solve::backend_name(feas->backend());
-  }
+  deciders.each([&](auto& feas, const char* name) {
+    feas.begin(masks, k);
+    EXPECT_FALSE(feas.decide(box)) << name;
+  });
   EXPECT_FALSE(uop_assign_children_masked(masks, box, k, assignment));
 }
 
@@ -106,12 +112,12 @@ TEST(UopAssignMasked, JustInfeasibleBox) {
   EXPECT_FALSE(uop_assign_children_masked(masks, over, 2, assignment));
 }
 
-// The exactness contract: for every registered backend, decide() equals
-// brute force equals the pristine solver — and when feasible, the pristine
-// solver's assignment is valid.
+// The exactness contract: for both deciders, decide() equals brute force
+// equals the pristine solver — and when feasible, the pristine solver's
+// assignment is valid.
 TEST(FeasibilitySolverBackends, RandomizedCrossCheckAgainstBruteForce) {
   Rng rng(20260809);
-  const auto backends = all_backends();
+  Deciders deciders;
   for (int trial = 0; trial < 3000; ++trial) {
     const std::size_t k = rng.uniform(1, 4);
     const std::size_t m = rng.uniform(0, 6);
@@ -119,7 +125,7 @@ TEST(FeasibilitySolverBackends, RandomizedCrossCheckAgainstBruteForce) {
     for (auto& mask : masks)
       mask = rng.uniform(0, (std::uint64_t{1} << k) - 1);  // empty masks included
     // A batch of boxes against one begin(): exercises the warm-network reuse
-    // and the SAT backend's per-vertex variable layout.
+    // and the SAT encoding's per-vertex variable layout.
     std::vector<IntervalBox> boxes;
     const std::size_t box_count = rng.uniform(1, 4);
     for (std::size_t b = 0; b < box_count; ++b) {
@@ -130,15 +136,15 @@ TEST(FeasibilitySolverBackends, RandomizedCrossCheckAgainstBruteForce) {
       }
       boxes.push_back(box);
     }
-    for (const auto& feas : backends) feas->begin(masks, k);
+    deciders.each([&](auto& feas, const char*) { feas.begin(masks, k); });
     for (const IntervalBox& box : boxes) {
       const bool truth = brute_force_feasible(masks, box, k);
       std::vector<std::size_t> assignment;
       ASSERT_EQ(uop_assign_children_masked(masks, box, k, assignment), truth)
           << "pristine solver diverged at trial " << trial;
-      for (const auto& feas : backends)
-        ASSERT_EQ(feas->decide(box), truth)
-            << solve::backend_name(feas->backend()) << " diverged at trial " << trial;
+      deciders.each([&](auto& feas, const char* name) {
+        ASSERT_EQ(feas.decide(box), truth) << name << " diverged at trial " << trial;
+      });
       if (truth) {
         std::vector<std::size_t> counts(k, 0);
         ASSERT_EQ(assignment.size(), m);
@@ -153,35 +159,23 @@ TEST(FeasibilitySolverBackends, RandomizedCrossCheckAgainstBruteForce) {
       }
     }
   }
-  // Every query must have resolved in some stage, and each backend's counts
-  // must respect its stage topology: cold-flow answers everything with cold
-  // flow builds; greedy never touches the warm network or the SAT core; sat
-  // never runs the combinatorial stage or any flow.
-  for (const auto& feas : backends) {
-    const solve::DecisionCounts& c = feas->counts();
-    EXPECT_GT(c.total(), 0u) << solve::backend_name(feas->backend());
-    switch (feas->backend()) {
-      case solve::Backend::kColdFlow:
-        EXPECT_EQ(c.total(), c.flow);
-        break;
-      case solve::Backend::kGreedy:
-        EXPECT_EQ(c.warm + c.sat, 0u);
-        break;
-      case solve::Backend::kWarmFlow:
-        EXPECT_EQ(c.sat, 0u);
-        break;
-      case solve::Backend::kSat:
-        EXPECT_EQ(c.greedy + c.warm + c.flow, 0u);
-        break;
-    }
-  }
+  // Every query must have resolved in some stage, and each decider's counts
+  // must respect its stage topology: the production solver never reaches a
+  // SAT core; SatFeasibility never runs the combinatorial stage or any flow.
+  const solve::DecisionCounts& prod = deciders.production.counts();
+  EXPECT_GT(prod.total(), 0u);
+  EXPECT_EQ(prod.sat, 0u);
+  const solve::DecisionCounts& sat = deciders.sat.counts();
+  EXPECT_GT(sat.total(), 0u);
+  EXPECT_GT(sat.sat, 0u);
+  EXPECT_EQ(sat.greedy + sat.warm + sat.flow, 0u);
 }
 
-// Box selection is part of the bit-identity contract: the first box any
-// backend accepts must be the first box the pristine scan accepts.
+// Box selection is part of the bit-identity contract: the first box either
+// decider accepts must be the first box the pristine scan accepts.
 TEST(FeasibilitySolverBackends, BackendFilteredExtractionPicksTheSameBox) {
   Rng rng(77);
-  const auto backends = all_backends();
+  Deciders deciders;
   for (int trial = 0; trial < 500; ++trial) {
     const std::size_t k = rng.uniform(1, 4);
     const std::size_t m = rng.uniform(1, 6);
@@ -203,17 +197,16 @@ TEST(FeasibilitySolverBackends, BackendFilteredExtractionPicksTheSameBox) {
         pristine_first = b;
         break;
       }
-    for (const auto& feas : backends) {
-      feas->begin(masks, k);
-      std::size_t backend_first = SIZE_MAX;
+    deciders.each([&](auto& feas, const char* name) {
+      feas.begin(masks, k);
+      std::size_t decider_first = SIZE_MAX;
       for (std::size_t b = 0; b < boxes.size(); ++b)
-        if (feas->decide(boxes[b])) {
-          backend_first = b;
+        if (feas.decide(boxes[b])) {
+          decider_first = b;
           break;
         }
-      ASSERT_EQ(backend_first, pristine_first)
-          << solve::backend_name(feas->backend()) << " trial " << trial;
-    }
+      ASSERT_EQ(decider_first, pristine_first) << name << " trial " << trial;
+    });
   }
 }
 
