@@ -1,6 +1,6 @@
 // Incremental recertification throughput: amortized cost per streaming edit
 // through a live incr::CertifiedInstance versus a cold full re-prove of the
-// same instance. Backs BENCH_incremental.json (bench/run_incremental_bench.sh).
+// same instance. Backs BENCH_incremental.json (bench/run_bench.py incremental).
 //
 // The workloads are periodic so the steady state needs no per-iteration
 // setup: the triple graft/swap/prune returns the instance to its original
@@ -90,7 +90,7 @@ GraphEdit swap_edit(Vertex moved, Vertex old_parent, Vertex new_parent) {
 
 /// Edits applied per second (the incremental rows) or full re-proves per
 /// second (the cold row); speedup = ratio of the two, computed by
-/// run_incremental_bench.sh from the JSON.
+/// bench/run_bench.py from the JSON.
 void set_items(benchmark::State& state, std::size_t per_iteration) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(per_iteration));

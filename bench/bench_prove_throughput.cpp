@@ -1,6 +1,6 @@
 // Prover-pipeline throughput: seed serial assign() versus the batch prover
 // (level-synchronized, arena-backed) with and without the hash-consed subtree
-// certificate cache. Backs BENCH_prove.json (bench/run_prove_bench.sh).
+// certificate cache. Backs BENCH_prove.json (bench/run_bench.py prove).
 //
 // The seed baseline is the untouched find_accepting_run/assign() path; the
 // batch rows go through prove_assignment, whose output is pinned bit-identical

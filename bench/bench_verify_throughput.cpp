@@ -3,7 +3,7 @@
 // only). google-benchmark micro-measurements of Scheme::verify.
 //
 // The BM_Engine* family measures whole-round verify_assignment throughput and
-// backs BENCH_verify.json (bench/run_verify_bench.sh): the seed engine built
+// backs BENCH_verify.json (bench/run_bench.py verify): the seed engine built
 // an owning View per vertex per round (certificate deep copies); the current
 // engine binds a precomputed ViewCache (pointer fills only) and optionally
 // fans out across a worker pool.

@@ -1,7 +1,6 @@
 #include "src/cert/prove.hpp"
 
 #include "src/obs/metrics.hpp"
-#include "src/obs/span.hpp"
 #include "src/obs/trace.hpp"
 
 namespace lcert {
@@ -20,6 +19,7 @@ struct ProverMetrics {
   obs::Quantile prove_ns = obs::registry().quantile("prover/prove_ns");
   std::uint32_t trace_memo_hits = obs::trace_sink().name_id("prover/memo_hits");
   std::uint32_t trace_memo_misses = obs::trace_sink().name_id("prover/memo_misses");
+  std::uint32_t trace_prove = obs::trace_sink().name_id("prover/prove_assignment");
 };
 
 const ProverMetrics& prover_metrics() {
@@ -67,8 +67,8 @@ void ProverContext::count_memo_misses(std::size_t k) {
 
 ProveResult prove_assignment(const Scheme& scheme, const Graph& g,
                              const RunOptions& options) {
-  LCERT_SPAN("prover/prove_assignment");
   const ProverMetrics& metrics = prover_metrics();
+  const obs::TraceSpan phase(metrics.trace_prove);
   metrics.prove_calls.add();
   const bool tracing = obs::trace_enabled();
   const std::uint64_t t0 = tracing ? obs::trace_now_ns() : 0;

@@ -1,8 +1,10 @@
 #include "src/graph/io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 namespace lcert {
 
@@ -10,7 +12,7 @@ Graph parse_edge_list(std::istream& in) {
   std::size_t n = 0;
   bool have_n = false;
   std::vector<std::pair<Vertex, Vertex>> edges;
-  std::vector<std::pair<Vertex, VertexId>> ids;
+  std::vector<std::tuple<Vertex, VertexId, std::size_t>> ids;  // (v, id, line)
 
   std::string line;
   std::size_t line_number = 0;
@@ -23,22 +25,41 @@ Graph parse_edge_list(std::istream& in) {
     std::istringstream ls(line);
     std::string op;
     if (!(ls >> op) || op[0] == '#') continue;
+    // Numeric fields are as strict as the CLI's: decimal digits only (no
+    // sign), a value present, and nothing after the last field.
+    const auto field = [&](const char* what) -> std::uint64_t {
+      std::string text;
+      ls >> text;
+      std::uint64_t value = 0;
+      const char* end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+      if (text.empty() || ec != std::errc() || ptr != end)
+        fail(std::string("bad ") + what + (text.empty() ? " (missing)" : " '" + text + "'"));
+      return value;
+    };
+    const auto end_of_line = [&] {
+      std::string extra;
+      if (ls >> extra) fail("trailing text '" + extra + "' after '" + op + "' line");
+    };
     if (op == "n") {
       if (have_n) fail("duplicate 'n' line");
-      if (!(ls >> n) || n == 0) fail("bad vertex count");
+      n = field("vertex count");
+      end_of_line();
+      if (n == 0) fail("bad vertex count '0'");
       if (n > kMaxVertexCount)
         fail("vertex count " + std::to_string(n) + " exceeds the ceiling of " +
              std::to_string(kMaxVertexCount));
       have_n = true;
     } else if (op == "e") {
-      std::size_t u = 0, v = 0;
-      if (!(ls >> u >> v)) fail("bad edge line");
+      const Vertex u = field("edge endpoint");
+      const Vertex v = field("edge endpoint");
+      end_of_line();
       edges.emplace_back(u, v);
     } else if (op == "id") {
-      std::size_t v = 0;
-      VertexId id = 0;
-      if (!(ls >> v >> id)) fail("bad id line");
-      ids.emplace_back(v, id);
+      const Vertex v = field("id vertex");
+      const VertexId id = field("id value");
+      end_of_line();
+      ids.emplace_back(v, id, line_number);
     } else {
       fail("unknown directive '" + op + "'");
     }
@@ -51,8 +72,9 @@ Graph parse_edge_list(std::istream& in) {
   if (!ids.empty()) {
     std::vector<VertexId> table(n);
     for (Vertex v = 0; v < n; ++v) table[v] = v + 1;
-    for (auto [v, id] : ids) {
-      if (v >= n) throw std::invalid_argument("parse_edge_list: id line out of range");
+    for (const auto& [v, id, id_line] : ids) {
+      line_number = id_line;
+      if (v >= n) fail("id vertex " + std::to_string(v) + " out of range");
       table[v] = id;
     }
     g.set_ids(std::move(table));

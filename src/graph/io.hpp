@@ -6,6 +6,8 @@
 //   [id <v> <identifier>]*     optional explicit IDs (default 1..n)
 //   e <u> <v>                  one line per edge, 0-based endpoints
 //   # comment lines and blank lines are ignored
+// Every number is an unsigned decimal; a sign, a missing value or text after
+// the last field is a parse error.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +27,8 @@ inline constexpr std::size_t kMaxVertexCount = std::size_t{1} << 24;
 
 /// Parses the edge-list format; throws std::invalid_argument with a line
 /// number on malformed input, including a vertex count above
-/// kMaxVertexCount.
+/// kMaxVertexCount and an id line naming a vertex past n. An edge endpoint
+/// past n throws std::out_of_range (from the Graph constructor).
 Graph parse_edge_list(std::istream& in);
 Graph parse_edge_list(const std::string& text);
 

@@ -276,18 +276,6 @@ QuantileSnapshot MetricsRegistry::merge_quantile_locked(std::size_t i) const {
   return merged;
 }
 
-std::map<std::string, std::uint64_t> MetricsRegistry::counters_snapshot() const {
-  std::map<std::string, std::uint64_t> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = 0; i < counter_names_.size(); ++i) {
-    std::uint64_t total = retired_.counters[i];
-    for (const Shard* shard : shards_)
-      total += shard->counters[i].load(std::memory_order_relaxed);
-    out.emplace(counter_names_[i], total);
-  }
-  return out;
-}
-
 std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = counter_index_.find(name);

@@ -166,8 +166,6 @@ class MetricsRegistry {
   /// Merged view of every shard (live and retired). Safe to call while
   /// workers are updating; in-flight updates may or may not be included.
   MetricsSnapshot snapshot() const;
-  /// Counters only — the span tracer diffs these around each span.
-  std::map<std::string, std::uint64_t> counters_snapshot() const;
   /// Convenience lookups (zero / empty when the metric is unknown).
   std::uint64_t counter_value(std::string_view name) const;
   HistogramSnapshot histogram_snapshot(std::string_view name) const;

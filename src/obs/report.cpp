@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "src/obs/metrics.hpp"
-#include "src/obs/span.hpp"
 #include "src/obs/trace.hpp"
 
 namespace lcert::obs {
@@ -85,20 +84,9 @@ void append_histogram_json(std::ostringstream& os, const HistogramSnapshot& h) {
   os << "]}";
 }
 
-void append_span_json(std::ostringstream& os, const SpanNode& node) {
-  os << "{\"name\":\"" << json_escape(node.name) << "\",\"wall_ms\":"
-     << json_value(Value(node.wall_ms)) << ",\"counters\":{";
-  for (std::size_t i = 0; i < node.counter_deltas.size(); ++i) {
-    if (i) os << ',';
-    os << '"' << json_escape(node.counter_deltas[i].first)
-       << "\":" << node.counter_deltas[i].second;
-  }
-  os << "},\"children\":[";
-  for (std::size_t i = 0; i < node.children.size(); ++i) {
-    if (i) os << ',';
-    append_span_json(os, node.children[i]);
-  }
-  os << "]}";
+bool write_file(const std::string& path, const std::string& content) {
+  std::ofstream out(path);
+  return static_cast<bool>(out << content << std::flush);
 }
 
 std::string csv_escape(const std::string& field) {
@@ -245,7 +233,7 @@ void Report::print_metrics(std::FILE* out) const {
   }
 }
 
-std::string Report::json() const {
+std::string Report::json(const TraceSnapshot& trace) const {
   std::ostringstream os;
   os << "{\"experiment\":\"" << json_escape(experiment_) << "\",\"meta\":{";
   for (std::size_t i = 0; i < meta_.size(); ++i) {
@@ -318,13 +306,8 @@ std::string Report::json() const {
   }
   os << ']';
 
-  os << ",\"trace_dropped\":" << trace_dropped() << ",\"trace\":[";
-  const std::vector<SpanNode> trace = take_trace();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (i) os << ',';
-    append_span_json(os, trace[i]);
-  }
-  os << "]}";
+  os << ",\"trace_dropped\":" << trace.dropped
+     << ",\"trace\":" << trace_rollup_json(trace_rollup(trace)) << '}';
   return os.str();
 }
 
@@ -344,15 +327,6 @@ std::string Report::csv() const {
   return os.str();
 }
 
-bool Report::write(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  const bool as_csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  out << (as_csv ? csv() : json());
-  if (!as_csv) out << '\n';
-  return static_cast<bool>(out);
-}
-
 bool Report::outputs_writable(std::string* error) const {
   for (const std::string* path : {&out_path_, &trace_path_}) {
     if (path->empty()) continue;
@@ -368,16 +342,20 @@ bool Report::outputs_writable(std::string* error) const {
 }
 
 int Report::write_artifacts() const {
+  // One drain feeds both artifacts, so the metrics artifact's "trace" rollup
+  // and the Chrome trace describe the same events.
+  const TraceSnapshot snap = trace_path_.empty() ? TraceSnapshot{} : trace_sink().take();
   if (!out_path_.empty()) {
-    if (!write(out_path_)) {
+    const bool as_csv =
+        out_path_.size() >= 4 && out_path_.compare(out_path_.size() - 4, 4, ".csv") == 0;
+    if (!write_file(out_path_, as_csv ? csv() : json(snap) + '\n')) {
       std::fprintf(stderr, "error: cannot write metrics to %s\n", out_path_.c_str());
       return 2;
     }
     std::fprintf(stderr, "metrics written to %s\n", out_path_.c_str());
   }
   if (!trace_path_.empty()) {
-    const TraceSnapshot snap = trace_sink().take();
-    // The rollup is both embedded in the artifact and printed here — the
+    // The rollup is both embedded in the artifacts and printed here — the
     // human-readable flame summary of where the run's wall time went.
     const std::vector<TraceRollupRow> rollup = trace_rollup(snap);
     if (!rollup.empty()) {
@@ -388,13 +366,7 @@ int Report::write_artifacts() const {
                      static_cast<unsigned long long>(row.count), row.total_ms,
                      row.self_ms, row.max_ms);
     }
-    std::ofstream trace_file(trace_path_);
-    bool ok = static_cast<bool>(trace_file);
-    if (ok) {
-      trace_file << chrome_trace_json(snap) << '\n';
-      ok = static_cast<bool>(trace_file);
-    }
-    if (!ok) {
+    if (!write_file(trace_path_, chrome_trace_json(snap) + '\n')) {
       std::fprintf(stderr, "error: cannot write trace to %s\n", trace_path_.c_str());
       return 2;
     }

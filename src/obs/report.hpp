@@ -5,12 +5,19 @@
 // table (replacing the per-bench printf tables) and, when an output path was
 // given — `--metrics-out <file>` on the command line or the LCERT_METRICS
 // environment variable — writes a machine-readable artifact that also embeds
-// the full metrics snapshot and the span trace. `.csv` paths get the records
-// as CSV; everything else gets the JSON document:
+// the full metrics snapshot and the per-phase trace rollup. `.csv` paths get
+// the records as CSV; everything else gets the JSON document:
 //
-//   { "experiment": ..., "meta": {...}, "records": [...],
-//     "metrics": {"counters": ..., "gauges": ..., "histograms": ...},
-//     "trace": [...] }
+//   { "experiment": ..., "meta": {...}, "records": [...], "notes": [...],
+//     "metrics": {"counters": ..., "gauges": ..., "histograms": ...,
+//                 "quantiles": ...},
+//     "outliers": [...], "trace_dropped": N, "trace": [...] }
+//
+// "trace" is the trace_rollup of the same trace-sink snapshot the Chrome
+// trace (`--trace-out <file>` / LCERT_TRACE) is written from: one row per
+// phase name, {name, count, total_ms, self_ms, max_ms}, and "trace_dropped"
+// is that snapshot's drop count. Without a trace output the sink stays off,
+// so "trace" is empty and "trace_dropped" is 0.
 //
 // EXPERIMENTS.md tables are regenerated from these artifacts, so record keys
 // are a stable schema: renaming one is a breaking change to the bench
@@ -25,6 +32,8 @@
 #include <utility>
 #include <variant>
 #include <vector>
+
+#include "src/obs/trace.hpp"
 
 namespace lcert::obs {
 
@@ -87,13 +96,11 @@ class Report {
   /// Human summary of the current metrics snapshot (counters + histograms).
   void print_metrics(std::FILE* out = stdout) const;
 
-  /// Serializers. json() embeds a fresh metrics snapshot and drains the
-  /// span trace; csv() is records-only.
-  std::string json() const;
+  /// Serializers. json() embeds a fresh metrics snapshot and the rollup of
+  /// `trace` (write_artifacts passes the drained sink; json() itself drains
+  /// nothing); csv() is records-only.
+  std::string json(const TraceSnapshot& trace = {}) const;
   std::string csv() const;
-
-  /// Writes by extension (.csv => CSV, else JSON). Returns false on I/O error.
-  bool write(const std::string& path) const;
 
   /// Probes that every configured output path (metrics and trace) is
   /// writable, before the run burns any time. On failure, fills *error with
@@ -101,9 +108,11 @@ class Report {
   /// so an existing artifact is not clobbered by the check.
   bool outputs_writable(std::string* error = nullptr) const;
 
-  /// Writes the metrics artifact and the Chrome trace (whichever paths are
-  /// set), draining the trace sink. Returns 0, or 2 on any write failure
-  /// (with a message on stderr) — never silently drops a report.
+  /// Writes the metrics artifact (by extension: .csv => CSV, else JSON) and
+  /// the Chrome trace, whichever paths are set. With a trace output, drains
+  /// the trace sink once and writes both artifacts from that snapshot.
+  /// Returns 0, or 2 on any write failure (with a message on stderr) —
+  /// never silently drops a report.
   int write_artifacts() const;
 
   /// Prints the table, the notes and (when tracing ran) the per-phase

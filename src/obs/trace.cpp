@@ -227,6 +227,25 @@ std::vector<TraceRollupRow> trace_rollup(const TraceSnapshot& snap) {
   return rows;
 }
 
+std::string trace_rollup_json(const std::vector<TraceRollupRow>& rows) {
+  std::ostringstream os;
+  os << '[';
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i) os << ',';
+    char num[32];
+    os << "{\"name\":\"" << trace_json_escape(rows[i].name)
+       << "\",\"count\":" << rows[i].count;
+    std::snprintf(num, sizeof num, "%.6f", rows[i].total_ms);
+    os << ",\"total_ms\":" << num;
+    std::snprintf(num, sizeof num, "%.6f", rows[i].self_ms);
+    os << ",\"self_ms\":" << num;
+    std::snprintf(num, sizeof num, "%.6f", rows[i].max_ms);
+    os << ",\"max_ms\":" << num << '}';
+  }
+  os << ']';
+  return os.str();
+}
+
 std::string chrome_trace_json(const TraceSnapshot& snap) {
   // Rebase timestamps so the viewer opens at t=0 instead of steady-clock
   // epoch; sort by time (Perfetto tolerates disorder, chrome://tracing is
@@ -264,21 +283,8 @@ std::string chrome_trace_json(const TraceSnapshot& snap) {
       os << ",\"args\":{\"logical\":" << e->logical << ",\"arg\":" << e->arg << '}';
     os << '}';
   }
-  os << "],\"rollup\":[";
-  const std::vector<TraceRollupRow> rollup = trace_rollup(snap);
-  for (std::size_t i = 0; i < rollup.size(); ++i) {
-    if (i) os << ',';
-    char num[32];
-    os << "{\"name\":\"" << trace_json_escape(rollup[i].name)
-       << "\",\"count\":" << rollup[i].count;
-    std::snprintf(num, sizeof num, "%.6f", rollup[i].total_ms);
-    os << ",\"total_ms\":" << num;
-    std::snprintf(num, sizeof num, "%.6f", rollup[i].self_ms);
-    os << ",\"self_ms\":" << num;
-    std::snprintf(num, sizeof num, "%.6f", rollup[i].max_ms);
-    os << ",\"max_ms\":" << num << '}';
-  }
-  os << "],\"dropped\":" << snap.dropped << '}';
+  os << "],\"rollup\":" << trace_rollup_json(trace_rollup(snap))
+     << ",\"dropped\":" << snap.dropped << '}';
   return os.str();
 }
 

@@ -164,6 +164,11 @@ struct TraceRollupRow {
 
 std::vector<TraceRollupRow> trace_rollup(const TraceSnapshot& snap);
 
+/// The rollup as a JSON array of {name, count, total_ms, self_ms, max_ms} —
+/// the one rendering both chrome_trace_json's "rollup" and the obs::Report
+/// artifact's "trace" use.
+std::string trace_rollup_json(const std::vector<TraceRollupRow>& rows);
+
 /// Chrome trace-event JSON ({"traceEvents":[...]}) with the rollup and drop
 /// count embedded under "rollup"/"dropped". Timestamps are microseconds
 /// rebased to the earliest event.

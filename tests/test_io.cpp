@@ -38,6 +38,17 @@ TEST(GraphIo, ParseErrors) {
   EXPECT_THROW(parse_edge_list("n 2\ne 0\n"), std::invalid_argument);       // short edge
   EXPECT_THROW(parse_edge_list("n 2\ne 0 5\n"), std::out_of_range);         // endpoint
   EXPECT_THROW(parse_edge_list("n 2\nid 5 9\n"), std::invalid_argument);    // id range
+  EXPECT_THROW(parse_edge_list("n 3 x\n"), std::invalid_argument);         // trailing text
+  EXPECT_THROW(parse_edge_list("n 3\ne 1 2 junk\n"), std::invalid_argument);  // trailing text
+  EXPECT_THROW(parse_edge_list("n 2\nid 0 -5\n"), std::invalid_argument);  // signed id
+  EXPECT_THROW(parse_edge_list("n 2\nid 0\n"), std::invalid_argument);     // missing value
+  EXPECT_THROW(parse_edge_list("n 2\ne +0 1\n"), std::invalid_argument);   // explicit sign
+  try {
+    parse_edge_list("n 2\n# comment\nid 5 9\n");
+    FAIL() << "id 5 9 on a 2-vertex graph was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("at line 3"), std::string::npos) << e.what();
+  }
 }
 
 TEST(GraphIo, RoundTripRandom) {

@@ -1,15 +1,18 @@
-// lcert::obs — counters, gauges, log2 histograms, span nesting, exporters,
+// lcert::obs — counters, gauges, log2 histograms, trace spans, exporters,
 // and the instrumentation contract the engine and provers rely on:
 //  - totals are bit-identical across worker-pool thread counts (shard cells
 //    merge by addition, so determinism survives parallelism);
 //  - every registry scheme's prover populates prover/<name>/cert_bits with
 //    exactly the sizes the engine later accounts for;
-//  - the JSON artifact is well-formed and carries records + metrics + trace.
+//  - the JSON artifact is well-formed and carries records + metrics + the
+//    trace rollup.
 // The ThreadSanitizer preset replays the *Parallel* tests here.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <chrono>
@@ -21,7 +24,6 @@
 #include "src/obs/instrumented_scheme.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/report.hpp"
-#include "src/obs/span.hpp"
 #include "src/obs/trace.hpp"
 #include "src/schemes/mso_tree.hpp"
 #include "src/schemes/registry.hpp"
@@ -34,18 +36,16 @@ namespace {
 using obs::registry;
 
 /// Enables the process registry for the test body and leaves it disabled and
-/// zeroed (trace drained) for whoever runs next in this binary.
+/// zeroed for whoever runs next in this binary.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     registry().reset();
-    obs::take_trace();
     registry().set_enabled(true);
   }
   void TearDown() override {
     registry().set_enabled(false);
     registry().reset();
-    obs::take_trace();
   }
 };
 
@@ -162,7 +162,7 @@ TEST_F(ObsTest, EngineCountersAreThreadCountInvariant) {
     const auto outcome =
         verify_assignment(scheme, cache, *certs, RunOptions{thread_counts[run], false});
     ASSERT_TRUE(outcome.all_accept);
-    totals[run] = registry().counters_snapshot();
+    totals[run] = registry().snapshot().counters;
     totals[run].erase("engine/worker_busy_ns");
   }
   EXPECT_EQ(totals[0], totals[1]);
@@ -183,44 +183,6 @@ TEST_F(ObsTest, RejectionsAndTruncationsAreCounted) {
   const auto outcome = verify_assignment(scheme, g, empty);
   EXPECT_FALSE(outcome.all_accept);
   EXPECT_EQ(registry().counter_value("engine/rejections"), 32u);
-}
-
-TEST_F(ObsTest, SpansNestAndCaptureCounterDeltas) {
-  const obs::Counter c = registry().counter("test/span_counter");
-  {
-    LCERT_SPAN("outer");
-    c.add(5);
-    {
-      LCERT_SPAN("inner");
-      c.add(2);
-    }
-  }
-  const auto trace = obs::take_trace();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].name, "outer");
-  ASSERT_EQ(trace[0].children.size(), 1u);
-  EXPECT_EQ(trace[0].children[0].name, "inner");
-  EXPECT_TRUE(trace[0].children[0].children.empty());
-  EXPECT_GE(trace[0].wall_ms, trace[0].children[0].wall_ms);
-
-  const auto find_delta = [](const obs::SpanNode& node, const char* name) -> std::uint64_t {
-    for (const auto& [key, delta] : node.counter_deltas)
-      if (key == name) return delta;
-    return 0;
-  };
-  EXPECT_EQ(find_delta(trace[0], "test/span_counter"), 7u);  // outer sees both adds
-  EXPECT_EQ(find_delta(trace[0].children[0], "test/span_counter"), 2u);
-
-  EXPECT_TRUE(obs::take_trace().empty());  // drained
-}
-
-TEST_F(ObsTest, DisabledSpansRecordNothing) {
-  registry().set_enabled(false);
-  {
-    LCERT_SPAN("invisible");
-  }
-  registry().set_enabled(true);
-  EXPECT_TRUE(obs::take_trace().empty());
 }
 
 // --- minimal JSON validity checker (objects/arrays/strings/numbers/
@@ -312,9 +274,6 @@ TEST_F(ObsTest, JsonValidatorSelfTest) {
 TEST_F(ObsTest, ReportJsonRoundTrip) {
   registry().counter("test/json_counter").add(3);
   registry().histogram("test/json_hist").record(9);
-  {
-    LCERT_SPAN("test/json_span");
-  }
   obs::Report report("unit-test");
   report.meta("seed", 1);
   report.add().set("scheme", "s\"1").set("n", 16).set("max_bits", 3).set("wall_ms", 0.5);
@@ -328,11 +287,10 @@ TEST_F(ObsTest, ReportJsonRoundTrip) {
   EXPECT_NE(json.find("\"max_bits\":3"), std::string::npos);
   EXPECT_NE(json.find("\"test/json_counter\":3"), std::string::npos);
   EXPECT_NE(json.find("\"test/json_hist\""), std::string::npos);
-  EXPECT_NE(json.find("\"test/json_span\""), std::string::npos);
-  // json() drains the trace: a second export is still valid, now trace-free.
-  const std::string second = report.json();
-  ASSERT_TRUE(is_valid_json(second));
-  EXPECT_EQ(second.find("\"test/json_span\""), std::string::npos);
+  // No trace snapshot given: the rollup is empty, and json() drains nothing,
+  // so a second export is identical.
+  EXPECT_NE(json.find("\"trace_dropped\":0,\"trace\":[]"), std::string::npos);
+  EXPECT_EQ(report.json(), json);
 }
 
 TEST_F(ObsTest, ReportCsvHasUnionHeaderAndEscaping) {
@@ -389,7 +347,6 @@ class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     registry().reset();
-    obs::take_trace();
     obs::trace_sink().reset();
     obs::outliers().reset();
     registry().set_enabled(true);
@@ -403,7 +360,6 @@ class TraceTest : public ::testing::Test {
     obs::outliers().reset();
     registry().set_enabled(false);
     registry().reset();
-    obs::take_trace();
   }
 };
 
@@ -509,6 +465,51 @@ TEST_F(TraceTest, ChromeTraceJsonIsValidAndReconcilesWithCounters) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"rollup\""), std::string::npos);
   EXPECT_NE(json.find("prover/prove_assignment"), std::string::npos);
+}
+
+// The metrics artifact's "trace" is derived, not recorded: write_artifacts
+// drains the sink once, and the rollup rows it embeds are exactly the Chrome
+// trace's "rollup" of the same snapshot.
+TEST_F(TraceTest, ArtifactTraceIsTheRollupOfTheChromeTrace) {
+  MsoTreeScheme scheme(standard_tree_automata()[0]);
+  Rng rng(23);
+  Graph g = make_path(300);
+  assign_random_ids(g, rng);
+  for (int i = 0; i < 3; ++i)
+    ASSERT_TRUE(prove_assignment(scheme, g, RunOptions{1, true}).certificates.has_value());
+  ASSERT_EQ(registry().counter_value("prover/prove_calls"), 3u);
+
+  obs::Report report("unit-test");
+  const std::string metrics_path = ::testing::TempDir() + "/rollup_metrics.json";
+  const std::string trace_path = ::testing::TempDir() + "/rollup_trace.json";
+  report.set_output(metrics_path);
+  report.set_trace_output(trace_path);
+  ASSERT_EQ(report.write_artifacts(), 0);
+  EXPECT_TRUE(obs::trace_sink().take().events.empty());  // drained once
+
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  const std::string metrics = slurp(metrics_path);
+  const std::string trace = slurp(trace_path);
+  ASSERT_TRUE(is_valid_json(metrics)) << metrics.substr(0, 400);
+  ASSERT_TRUE(is_valid_json(trace)) << trace.substr(0, 400);
+  EXPECT_NE(metrics.find("\"prover/prove_calls\":3"), std::string::npos);
+  EXPECT_NE(metrics.find("{\"name\":\"prover/prove_assignment\",\"count\":3,"),
+            std::string::npos);
+
+  // "trace" is the artifact's last key; "rollup" sits between the events and
+  // the drop count in the Chrome trace.
+  const std::size_t at = metrics.find("\"trace\":");
+  ASSERT_NE(at, std::string::npos);
+  const std::string metrics_rollup =
+      metrics.substr(at + 8, metrics.rfind('}') - (at + 8));
+  const std::size_t from = trace.find("\"rollup\":");
+  const std::size_t to = trace.find(",\"dropped\":", from);
+  ASSERT_NE(from, std::string::npos);
+  ASSERT_NE(to, std::string::npos);
+  EXPECT_EQ(metrics_rollup, trace.substr(from + 9, to - (from + 9)));
 }
 
 TEST_F(TraceTest, RollupPairsSpansAndComputesSelfTime) {

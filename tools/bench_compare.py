@@ -2,7 +2,7 @@
 """Diff a fresh BENCH_*.json against a committed baseline; gate on regressions.
 
 Compares the per-benchmark throughput maps (``items_per_second``) of two
-artifacts produced by bench/run_*_bench.sh and fails when any shared metric
+artifacts produced by bench/run_bench.py and fails when any shared metric
 regressed beyond tolerance:
 
     tools/bench_compare.py --baseline BENCH_prove.json --current fresh.json \
