@@ -238,7 +238,10 @@ def check_guards(out):
     to a commit, or an artifact of another schema (LCERT_BENCH_FORCE=1
     overrides). Returns (git_sha, dirty)."""
     sha = (git("rev-parse", "--short", "HEAD") or "").strip() or "unknown"
-    dirty = sha != "unknown" and bool(git("status", "--porcelain"))
+    # This script's own artifacts are not dirt: refreshing all suites in one
+    # checkout rewrites them one after another.
+    own = [f":(exclude)BENCH_{suite}.json" for suite in SUITES]
+    dirty = sha != "unknown" and bool(git("status", "--porcelain", "--", ".", *own))
     if os.environ.get("LCERT_BENCH_FORCE"):
         return sha, dirty
     committed = git("ls-files", "--error-unmatch", os.path.basename(out)) is not None

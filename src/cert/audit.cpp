@@ -63,9 +63,9 @@ Certificate flip_bit(const Certificate& c, std::size_t bit) {
 // per verification — the parallelism lives at the trial level.
 constexpr RunOptions kTrialVerify{/*num_threads=*/1, /*stop_at_first_reject=*/true};
 
-bool accepted_everywhere(const Scheme& scheme, const ViewCache& cache,
+bool accepted_everywhere(const Scheme& scheme, const Graph& g,
                          const std::vector<Certificate>& certs) {
-  return verify_assignment(scheme, cache, certs, kTrialVerify).all_accept;
+  return verify_assignment(scheme, g, certs, kTrialVerify).all_accept;
 }
 
 // Runs `trials` independent attack trials on the worker pool. make_certs(rng)
@@ -74,7 +74,7 @@ bool accepted_everywhere(const Scheme& scheme, const ViewCache& cache,
 // outcome independent of the thread count. Trials numbered above an already
 // recorded success are skipped — their results could never win.
 std::optional<std::vector<Certificate>> run_trials(
-    const Scheme& scheme, const ViewCache& cache, std::size_t trials, Rng& rng,
+    const Scheme& scheme, const Graph& g, std::size_t trials, Rng& rng,
     std::size_t num_threads, obs::Counter trial_counter, std::size_t& executed,
     const std::function<std::vector<Certificate>(Rng&)>& make_certs) {
   // Per-trial seeds drawn serially up front: each trial's randomness depends
@@ -93,7 +93,7 @@ std::optional<std::vector<Certificate>> run_trials(
     Rng trial_rng(seeds[trial]);
     std::vector<Certificate> certs = make_certs(trial_rng);
     if (certs.empty()) return;  // trial not applicable (e.g. zero-bit flip target)
-    if (!accepted_everywhere(scheme, cache, certs)) return;
+    if (!accepted_everywhere(scheme, g, certs)) return;
     std::lock_guard<std::mutex> lock(forged_mutex);
     if (trial < best.load(std::memory_order_relaxed)) {
       best.store(trial, std::memory_order_relaxed);
@@ -209,7 +209,7 @@ std::optional<std::vector<Certificate>> sat_run_attack(const AttackContext& ctx,
 
     std::vector<Certificate> certs(n);
     for (Vertex v = 0; v < n; ++v) certs[v] = surface->encode(t.depth(v) % 3, run[v]);
-    if (accepted_everywhere(ctx.scheme, ctx.cache, certs)) {
+    if (accepted_everywhere(ctx.scheme, ctx.no_instance, certs)) {
       out.detail = "accepting run rooted at " + std::to_string(root);
       return certs;
     }
@@ -234,7 +234,7 @@ std::vector<AttackStrategy> standard_attack_plan(const RunOptions& options) {
                     const std::size_t n = ctx.no_instance.vertex_count();
                     const std::size_t max_bits = ctx.options.max_random_bits;
                     return run_trials(
-                        ctx.scheme, ctx.cache, out.budget, rng,
+                        ctx.scheme, ctx.no_instance, out.budget, rng,
                         ctx.options.num_threads, audit_metrics().random_trials,
                         out.trials, [n, max_bits](Rng& trial_rng) {
                           std::vector<Certificate> certs(n);
@@ -250,7 +250,7 @@ std::vector<AttackStrategy> standard_attack_plan(const RunOptions& options) {
                     std::vector<Certificate> certs(ctx.no_instance.vertex_count());
                     out.trials = 1;
                     audit_metrics().empty_trials.add();
-                    if (accepted_everywhere(ctx.scheme, ctx.cache, certs))
+                    if (accepted_everywhere(ctx.scheme, ctx.no_instance, certs))
                       return certs;
                     return std::nullopt;
                   }});
@@ -270,7 +270,7 @@ std::vector<AttackStrategy> standard_attack_plan(const RunOptions& options) {
                     }
                     out.trials = 1;
                     audit_metrics().replay_trials.add();
-                    if (accepted_everywhere(ctx.scheme, ctx.cache, *ctx.yes_template))
+                    if (accepted_everywhere(ctx.scheme, ctx.no_instance, *ctx.yes_template))
                       return *ctx.yes_template;
                     return std::nullopt;
                   }});
@@ -287,7 +287,7 @@ std::vector<AttackStrategy> standard_attack_plan(const RunOptions& options) {
                     rng.shuffle(shuffled);
                     out.trials = 1;
                     audit_metrics().replay_trials.add();
-                    if (accepted_everywhere(ctx.scheme, ctx.cache, shuffled))
+                    if (accepted_everywhere(ctx.scheme, ctx.no_instance, shuffled))
                       return shuffled;
                     return std::nullopt;
                   }});
@@ -303,7 +303,7 @@ std::vector<AttackStrategy> standard_attack_plan(const RunOptions& options) {
                     const std::size_t n = ctx.no_instance.vertex_count();
                     const std::vector<Certificate>& tmpl = *ctx.yes_template;
                     return run_trials(
-                        ctx.scheme, ctx.cache, out.budget, rng,
+                        ctx.scheme, ctx.no_instance, out.budget, rng,
                         ctx.options.num_threads, audit_metrics().mutation_trials,
                         out.trials, [n, &tmpl](Rng& trial_rng) {
                           std::vector<Certificate> certs = tmpl;
@@ -333,8 +333,7 @@ SoundnessAuditReport run_soundness_audit(const Scheme& scheme, const Graph& no_i
   const AuditMetrics& metrics = audit_metrics();
   const obs::TraceSpan phase(metrics.trace_attack);
   metrics.attacks.add();
-  const ViewCache cache(no_instance);  // one topology walk for every strategy below
-  const AttackContext ctx{scheme, no_instance, cache, yes_template, options};
+  const AttackContext ctx{scheme, no_instance, yes_template, options};
 
   const std::vector<AttackStrategy> standard =
       plan == nullptr ? standard_attack_plan(options) : std::vector<AttackStrategy>{};
@@ -401,16 +400,15 @@ std::optional<ForgedAssignment> exhaustive_soundness_attack(const Scheme& scheme
     throw std::invalid_argument("exhaustive_soundness_attack: search space too large");
 
   // The odometer order is part of the contract (first accepting assignment in
-  // canonical order); it stays serial, but every probe reuses the cache and
-  // early-exits on the first rejecting vertex.
+  // canonical order); it stays serial, but every probe early-exits on the
+  // first rejecting vertex.
   const AuditMetrics& metrics = audit_metrics();
   const obs::TraceSpan phase(metrics.trace_exhaustive);
-  const ViewCache cache(no_instance);
   std::vector<std::size_t> pick(n, 0);
   std::vector<Certificate> certs(n, alphabet[0]);
   while (true) {
     metrics.exhaustive_trials.add();
-    if (accepted_everywhere(scheme, cache, certs)) {
+    if (accepted_everywhere(scheme, no_instance, certs)) {
       metrics.forgeries.add();
       return ForgedAssignment{certs, "exhaustive"};
     }

@@ -12,11 +12,11 @@
 // found it. On tiny instances exhaustive_soundness_attack enumerates all
 // short certificate assignments outright.
 //
-// Performance: all strategies share one ViewCache of the instance (same
-// graph, hundreds of mutated assignments), and the independent
-// random/mutation trials run on a worker pool. Each trial draws its
-// randomness from its own seed (pre-drawn serially from the caller's Rng),
-// and a forgery is reported from the lowest-numbered successful trial — so
+// Performance: every probe is one early-exit verify_assignment on the
+// instance graph (the engine assembles views per block, so there is no
+// per-audit topology to share), and the independent random/mutation trials
+// run on a worker pool. Each trial draws its randomness from its own seed
+// (pre-drawn serially from the caller's Rng), and a forgery is reported from the lowest-numbered successful trial — so
 // for a fixed Rng seed the result is identical for every num_threads value.
 // The plan order is part of the replay contract: strategies that consume the
 // shared Rng keep their historical draw order, and the sat-run strategy
@@ -41,12 +41,10 @@ struct ForgedAssignment {
   std::string attack;  ///< which attack strategy produced it
 };
 
-/// Everything a strategy sees about the instance under attack. The cache is
-/// shared across the whole plan (one topology walk per audit).
+/// Everything a strategy sees about the instance under attack.
 struct AttackContext {
   const Scheme& scheme;
   const Graph& no_instance;
-  const ViewCache& cache;
   const std::vector<Certificate>* yes_template;  ///< may be null
   const RunOptions& options;
 };

@@ -1,12 +1,12 @@
 // Evaluation engine: runs a scheme's verifier at every vertex and accounts
 // certificate sizes in bits (the paper's performance measure).
 //
-// The hot path is zero-copy and parallel. A ViewCache precomputes the
-// CSR-style view topology (self IDs, neighbor IDs, neighbor vertex indices)
-// once per graph; binding a certificate assignment to it is a single O(m)
-// pointer fill, and each per-vertex ViewRef is then handed out without
-// copying a byte of certificate data. verify_assignment fans the vertices
-// out over a worker pool; results are deterministic (the rejecting set is
+// The hot path is zero-copy and parallel. verify_assignment fans 128-vertex
+// blocks out over a worker pool, and each block assembles its own views inside
+// the fan-out: the block's neighbor {id, certificate*} pairs go into the
+// worker's reusable scratch, and each per-vertex ViewRef points into it
+// without copying a byte of certificate data. The only serial per-call work is
+// the O(n) bit accounting. Results are deterministic (the rejecting set is
 // produced in vertex order regardless of thread count).
 #pragma once
 
@@ -20,13 +20,14 @@ namespace lcert {
 
 /// Builds vertex v's radius-1 view under a certificate assignment, deep
 /// copying the certificates. Adapter for tests and one-off inspection; the
-/// engine itself goes through ViewCache.
+/// engine itself hands out zero-copy ViewRefs.
 View make_view(const Graph& g, const std::vector<Certificate>& certificates, Vertex v);
 
-/// Reusable zero-copy view factory for one graph. Construction walks the
-/// adjacency once; every later verification pass over the same graph (the
-/// scaling experiments, the audit's hundreds of forged assignments) reuses
-/// the topology and only rebinds certificate pointers.
+/// Materialized zero-copy views of one graph, for callers that index views
+/// directly (the fuzz oracle's verify_batch-vs-verify cross-check, tests,
+/// benchmarks). Construction walks the adjacency once into CSR arrays; each
+/// Binding then fills one {id, certificate*} pair per edge endpoint. The
+/// engine does not go through it: verify_assignment assembles views per block.
 class ViewCache {
  public:
   explicit ViewCache(const Graph& g);
@@ -81,9 +82,8 @@ VerificationOutcome verify_assignment(const Scheme& scheme, const Graph& g,
                                       const std::vector<Certificate>& certificates,
                                       const RunOptions& options = {});
 
-/// Same, against a prebuilt ViewCache (the audit loops re-verify hundreds of
-/// assignments on one graph; building the cache once amortizes the topology
-/// walk away).
+/// Same, for callers that hold a ViewCache: reads cache.graph() at call time
+/// and runs the same per-block drain (the cached topology is not used).
 VerificationOutcome verify_assignment(const Scheme& scheme, const ViewCache& cache,
                                       const std::vector<Certificate>& certificates,
                                       const RunOptions& options = {});

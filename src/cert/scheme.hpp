@@ -8,7 +8,8 @@
 // yes-instances have an accepting assignment, no-instances have none.
 //
 // Verifiers consume a non-owning ViewRef: certificates are borrowed from the
-// assignment (or from a ViewCache binding), never copied per vertex. The
+// assignment (through the engine's per-block scratch or a ViewCache binding),
+// never copied per vertex. The
 // owning View remains as a thin adapter for tests and for verifiers that
 // synthesize sub-views from decoded material.
 #pragma once

@@ -1,7 +1,9 @@
 #include "src/graph/io.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
@@ -59,6 +61,7 @@ Graph parse_edge_list(std::istream& in) {
       const Vertex v = field("id vertex");
       const VertexId id = field("id value");
       end_of_line();
+      if (id == 0) fail("bad id value '0' (IDs start at 1)");
       ids.emplace_back(v, id, line_number);
     } else {
       fail("unknown directive '" + op + "'");
@@ -71,12 +74,35 @@ Graph parse_edge_list(std::istream& in) {
   Graph g(n, edges);
   if (!ids.empty()) {
     std::vector<VertexId> table(n);
+    std::vector<std::size_t> set_at(n, 0);  // line that gave v its ID; 0 = default v+1
     for (Vertex v = 0; v < n; ++v) table[v] = v + 1;
     for (const auto& [v, id, id_line] : ids) {
       line_number = id_line;
       if (v >= n) fail("id vertex " + std::to_string(v) + " out of range");
       table[v] = id;
+      set_at[v] = id_line;
     }
+    // Later lines may reassign a vertex, so collisions are judged on the final
+    // table. Sorted by (ID, line), each vertex that repeats its predecessor's
+    // ID was given it no earlier than the predecessor, so its line is the one
+    // that introduces the collision (a default ID has no line, 0); the
+    // earliest such line is reported.
+    std::vector<Vertex> by_id(n);
+    std::iota(by_id.begin(), by_id.end(), Vertex{0});
+    std::sort(by_id.begin(), by_id.end(), [&](Vertex a, Vertex b) {
+      return std::pair(table[a], set_at[a]) < std::pair(table[b], set_at[b]);
+    });
+    line_number = 0;
+    VertexId duplicate = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      const Vertex v = by_id[i];
+      if (table[v] != table[by_id[i - 1]]) continue;
+      if (line_number == 0 || set_at[v] < line_number) {
+        line_number = set_at[v];
+        duplicate = table[v];
+      }
+    }
+    if (line_number != 0) fail("duplicate id value " + std::to_string(duplicate));
     g.set_ids(std::move(table));
   }
   return g;

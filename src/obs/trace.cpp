@@ -139,9 +139,7 @@ void TraceSink::reset() {
   }
 }
 
-namespace {
-
-std::string trace_json_escape(std::string_view s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (const char c : s) {
@@ -163,6 +161,8 @@ std::string trace_json_escape(std::string_view s) {
   }
   return out;
 }
+
+namespace {
 
 const char* kind_tag(TraceEventKind kind) {
   switch (kind) {
@@ -233,7 +233,7 @@ std::string trace_rollup_json(const std::vector<TraceRollupRow>& rows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (i) os << ',';
     char num[32];
-    os << "{\"name\":\"" << trace_json_escape(rows[i].name)
+    os << "{\"name\":\"" << json_escape(rows[i].name)
        << "\",\"count\":" << rows[i].count;
     std::snprintf(num, sizeof num, "%.6f", rows[i].total_ms);
     os << ",\"total_ms\":" << num;
@@ -274,7 +274,7 @@ std::string chrome_trace_json(const TraceSnapshot& snap) {
         e->name_id < snap.names.size() ? snap.names[e->name_id] : "?";
     std::snprintf(ts_buf, sizeof ts_buf, "%.3f",
                   static_cast<double>(e->ts_ns - t0) / 1e3);
-    os << "{\"name\":\"" << trace_json_escape(name) << "\",\"cat\":\"lcert\",\"ph\":\""
+    os << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\"lcert\",\"ph\":\""
        << kind_tag(e->kind) << "\",\"ts\":" << ts_buf << ",\"pid\":0,\"tid\":" << e->tid;
     if (e->kind == TraceEventKind::kInstant) os << ",\"s\":\"t\"";
     if (e->kind == TraceEventKind::kCounter)

@@ -169,6 +169,11 @@ std::vector<TraceRollupRow> trace_rollup(const TraceSnapshot& snap);
 /// artifact's "trace" use.
 std::string trace_rollup_json(const std::vector<TraceRollupRow>& rows);
 
+/// `s` as the body of a JSON string literal (quotes, backslashes and control
+/// characters escaped; no surrounding quotes). Every obs JSON artifact — the
+/// Chrome trace, the rollup, the obs::Report — escapes through this one.
+std::string json_escape(std::string_view s);
+
 /// Chrome trace-event JSON ({"traceEvents":[...]}) with the rollup and drop
 /// count embedded under "rollup"/"dropped". Timestamps are microseconds
 /// rebased to the earliest event.

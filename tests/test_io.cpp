@@ -49,6 +49,23 @@ TEST(GraphIo, ParseErrors) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("at line 3"), std::string::npos) << e.what();
   }
+  // Zero and colliding IDs name the id line that introduces them, including a
+  // collision with another vertex's default ID (vertex 1 defaults to 2).
+  const std::pair<const char*, const char*> id_errors[] = {
+      {"n 3\nid 0 0\n", "at line 2"},
+      {"n 3\nid 0 7\nid 1 7\n", "at line 3"},
+      {"n 3\nid 0 2\n", "at line 2"},
+  };
+  for (const auto& [text, where] : id_errors) {
+    try {
+      parse_edge_list(text);
+      FAIL() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos) << e.what();
+    }
+  }
+  // A later line may move a vertex off a colliding ID.
+  EXPECT_EQ(parse_edge_list("n 3\nid 0 2\nid 1 9\n").id(1), 9u);
 }
 
 TEST(GraphIo, RoundTripRandom) {

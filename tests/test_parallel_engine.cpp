@@ -6,6 +6,7 @@
 // the ones the ThreadSanitizer preset (-DLCERT_SANITIZE=thread) replays.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 
@@ -197,6 +198,106 @@ TEST(ViewCache, RebindSwitchesAssignmentsWithoutRebuilding) {
     EXPECT_EQ(*bind_b.view(v).certificate, b[v]);
   }
   EXPECT_THROW(cache.bind(std::vector<Certificate>(7)), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Both verify_assignment overloads vs a make_view + Scheme::verify reference.
+// The engine assembles each block's views in per-worker scratch; these pin
+// that every thread count, on both overloads, decides exactly as the
+// one-view-at-a-time reference does.
+// ---------------------------------------------------------------------------
+
+VerificationOutcome reference_outcome(const Scheme& scheme, const Graph& g,
+                                      const std::vector<Certificate>& certs) {
+  VerificationOutcome out;
+  for (const Certificate& c : certs) {
+    out.max_certificate_bits = std::max(out.max_certificate_bits, c.bit_size);
+    out.total_certificate_bits += c.bit_size;
+  }
+  for (Vertex v = 0; v < g.vertex_count(); ++v) {
+    View view = make_view(g, certs, v);
+    bool ok = false;
+    try {
+      ok = scheme.verify(view.as_ref());
+    } catch (const CertificateTruncated&) {
+    }
+    if (!ok) out.rejecting.push_back(v);
+  }
+  out.all_accept = out.rejecting.empty();
+  return out;
+}
+
+std::vector<Certificate> truncated_to_half(std::vector<Certificate> certs) {
+  for (Certificate& c : certs) {
+    c.bit_size /= 2;
+    c.bytes.resize((c.bit_size + 7) / 8);
+    if (c.bit_size % 8 != 0)
+      c.bytes.back() &= static_cast<std::uint8_t>(0xFF00u >> (c.bit_size % 8));
+  }
+  return certs;
+}
+
+void expect_engine_matches_reference(const std::string& key, const Graph& g, Rng& rng,
+                                     bool expect_honest) {
+  const auto scheme = find_scheme(key).make();
+  std::vector<std::pair<std::string, std::vector<Certificate>>> assignments;
+  if (const auto honest = scheme->assign(g)) {
+    assignments.emplace_back("honest", *honest);
+    assignments.emplace_back("truncated", truncated_to_half(*honest));
+  } else {
+    ASSERT_FALSE(expect_honest) << key << ": prover failed";
+  }
+  assignments.emplace_back("random", random_assignment(g.vertex_count(), rng));
+  const ViewCache cache(g);
+  for (const auto& [kind, certs] : assignments) {
+    const VerificationOutcome want = reference_outcome(*scheme, g, certs);
+    if (kind == "honest") EXPECT_TRUE(want.all_accept) << key;
+    for (std::size_t threads : {0, 1, 2, 4}) {
+      const RunOptions full{threads, false};
+      const std::string label =
+          key + " " + kind + " n=" + std::to_string(g.vertex_count()) +
+          " threads=" + std::to_string(threads);
+      expect_identical(verify_assignment(*scheme, g, certs, full), want, label + " graph");
+      expect_identical(verify_assignment(*scheme, cache, certs, full), want, label + " cache");
+    }
+  }
+}
+
+TEST(ParallelEngine, BothOverloadsMatchReferenceOnAStar) {
+  // The centre's degree (4095) is far past a 128-vertex block, so its block
+  // grows the worker scratch well beyond every other block's.
+  Rng rng(7800);
+  Graph g = make_star(4096);
+  assign_random_ids(g, rng);
+  for (const char* key : {"vertex-parity", "mso-leaves4"})
+    expect_engine_matches_reference(key, g, rng, true);
+}
+
+TEST(ParallelEngine, BothOverloadsMatchReferenceOnCliquesOfPaths) {
+  Rng rng(7900);
+  Graph g = cliques_of_paths(40, 5, 3);  // n = 317: dense blocks, ragged tail
+  assign_random_ids(g, rng);
+  for (const char* key : {"vertex-parity", "c4-minor-free", "universal-triangle-free"})
+    expect_engine_matches_reference(key, g, rng, false);
+}
+
+TEST(ParallelEngine, BothOverloadsMatchReferenceOnARaggedTree) {
+  Rng rng(8000);
+  Graph g = make_random_tree(1000, rng);  // 1000 = 7 * 128 + 104
+  assign_random_ids(g, rng);
+  for (const char* key : {"vertex-parity", "mso-leaves4", "mso-caterpillar"})
+    expect_engine_matches_reference(key, g, rng, false);
+}
+
+TEST(ParallelEngine, WrongSizeAssignmentThrowsFromBothOverloads) {
+  const auto scheme = find_scheme("vertex-parity").make();
+  const Graph g = make_path(10);
+  const ViewCache cache(g);
+  for (std::size_t size : {std::size_t{0}, std::size_t{9}, std::size_t{11}}) {
+    const std::vector<Certificate> certs(size);
+    EXPECT_THROW(verify_assignment(*scheme, g, certs), std::invalid_argument);
+    EXPECT_THROW(verify_assignment(*scheme, cache, certs), std::invalid_argument);
+  }
 }
 
 // ---------------------------------------------------------------------------
