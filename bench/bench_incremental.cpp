@@ -19,6 +19,7 @@
 #include "src/cert/prove.hpp"
 #include "src/graph/edit.hpp"
 #include "src/graph/generators.hpp"
+#include "src/graph/io.hpp"
 #include "src/graph/rooted_tree.hpp"
 #include "src/incr/incremental.hpp"
 #include "src/obs/report.hpp"
@@ -358,14 +359,20 @@ int main(int argc, char** argv) {
   auto report = obs::Report::from_cli("E16-incremental", argc, argv);
 
   // Our own flag, stripped before google-benchmark parses argv:
-  //   --record-n <n>    instance size of the structured record rows
+  //   --record-n <n>    instance size of the structured record rows; a
+  //                     malformed value exits 2, matching lcert_cli
   std::size_t record_n = 16384;
   {
     int out = 1;
     for (int i = 1; i < argc; ++i) {
       const std::string flag = argv[i];
       if (flag == "--record-n" && i + 1 < argc) {
-        record_n = std::stoul(argv[++i]);
+        try {
+          record_n = parse_count(flag, argv[++i], kMaxVertexCount, 1);
+        } catch (const std::invalid_argument& e) {
+          std::fprintf(stderr, "error: %s\n", e.what());
+          return 2;
+        }
       } else {
         argv[out++] = argv[i];
       }

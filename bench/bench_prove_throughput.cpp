@@ -1,6 +1,6 @@
-// Prover-pipeline throughput: seed serial assign() versus the batch prover
-// (level-synchronized, arena-backed) with and without the hash-consed subtree
-// certificate cache. Backs BENCH_prove.json (bench/run_bench.py prove).
+// Prover-pipeline throughput: seed serial assign() versus the memoized batch
+// prover (level-synchronized, arena-backed), serial and parallel. Backs
+// BENCH_prove.json (bench/run_bench.py prove).
 //
 // The seed baseline is the untouched find_accepting_run/assign() path; the
 // batch rows go through prove_assignment, whose output is pinned bit-identical
@@ -9,12 +9,14 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/cert/engine.hpp"
 #include "src/cert/prove.hpp"
 #include "src/graph/generators.hpp"
+#include "src/graph/io.hpp"
 #include "src/obs/report.hpp"
 #include "src/schemes/mso_tree.hpp"
 #include "src/schemes/spanning_tree.hpp"
@@ -78,13 +80,11 @@ void BM_ProveSeedSerial(benchmark::State& state, Family fam) {
   set_items(state, g.vertex_count());
 }
 
-void run_batch(benchmark::State& state, const Family& fam, std::size_t threads,
-               bool memoize) {
+void run_batch(benchmark::State& state, const Family& fam, std::size_t threads) {
   const MsoTreeScheme scheme(standard_tree_automata()[fam.automaton]);
   const Graph g = prepare_instance(fam, static_cast<std::size_t>(state.range(0)));
   RunOptions options;
   options.num_threads = threads;
-  options.memoize = memoize;
   for (auto _ : state) {
     auto result = prove_assignment(scheme, g, options);
     benchmark::DoNotOptimize(result.certificates);
@@ -92,20 +92,15 @@ void run_batch(benchmark::State& state, const Family& fam, std::size_t threads,
   set_items(state, g.vertex_count());
 }
 
-void BM_ProveBatchSerialNoMemo(benchmark::State& state, Family fam) {
-  run_batch(state, fam, 1, false);
-}
 void BM_ProveBatchSerial(benchmark::State& state, Family fam) {
-  run_batch(state, fam, 1, true);
+  run_batch(state, fam, 1);
 }
 void BM_ProveBatchParallel(benchmark::State& state, Family fam) {
-  run_batch(state, fam, 0, true);  // 0 = auto worker count, memo on
+  run_batch(state, fam, 0);  // 0 = auto worker count
 }
 
 #define LCERT_PROVE_FAMILY(family, ...)                                    \
   BENCHMARK_CAPTURE(BM_ProveSeedSerial, family, k##family)__VA_ARGS__;     \
-  BENCHMARK_CAPTURE(BM_ProveBatchSerialNoMemo, family, k##family)          \
-  __VA_ARGS__;                                                             \
   BENCHMARK_CAPTURE(BM_ProveBatchSerial, family, k##family)__VA_ARGS__;    \
   BENCHMARK_CAPTURE(BM_ProveBatchParallel, family, k##family)__VA_ARGS__
 
@@ -175,12 +170,11 @@ BENCHMARK(BM_ProveSpanningBatch)->Arg(1024)->Arg(4096)->Arg(16384);
 // the shared obs::Report artifact, including the memo counters that the
 // JSON bench output cannot carry).
 void add_prove_record(obs::Report& report, const Family& fam, std::size_t n,
-                      std::size_t threads, bool memoize, const char* mode) {
+                      std::size_t threads, const char* mode) {
   const MsoTreeScheme scheme(standard_tree_automata()[fam.automaton]);
   const Graph g = prepare_instance(fam, n);
   RunOptions options;
   options.num_threads = threads;
-  options.memoize = memoize;
   const std::size_t rounds = 5;
   std::size_t hits = 0;
   std::size_t misses = 0;
@@ -218,7 +212,8 @@ int main(int argc, char** argv) {
   // Our own flags, stripped before google-benchmark parses argv:
   //   --family <name>   restrict the structured record rows to one family
   //   --record-n <n>    instance size of the record rows (default 4096)
-  // Unknown family names exit 2 with the listing, matching lcert_cli.
+  // Unknown family names and a malformed --record-n exit 2, matching
+  // lcert_cli.
   std::vector<Family> record_families = {kCompleteBinary, kRandomTree};
   std::size_t record_n = 4096;
   {
@@ -238,7 +233,12 @@ int main(int argc, char** argv) {
           return 2;
         }
       } else if (flag == "--record-n" && i + 1 < argc) {
-        record_n = std::stoul(argv[++i]);
+        try {
+          record_n = parse_count(flag, argv[++i], kMaxVertexCount, 1);
+        } catch (const std::invalid_argument& e) {
+          std::fprintf(stderr, "error: %s\n", e.what());
+          return 2;
+        }
       } else {
         argv[out++] = argv[i];
       }
@@ -252,9 +252,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   for (const Family& fam : record_families) {
-    add_prove_record(report, fam, record_n, 1, false, "serial-no-memo");
-    add_prove_record(report, fam, record_n, 1, true, "serial-memo");
-    add_prove_record(report, fam, record_n, 0, true, "parallel-memo");
+    add_prove_record(report, fam, record_n, 1, "serial-memo");
+    add_prove_record(report, fam, record_n, 0, "parallel-memo");
   }
   report.note("");
   report.note("micro numbers above are google-benchmark's; the table rows re-measure one");

@@ -7,7 +7,7 @@
 //                                           # soundness attack plan (random,
 //                                           # empty, replay, bit-flip, SAT-
 //                                           # guided run search)
-//   lcert_cli prove <scheme> [n] [--threads T] [--no-memo] [--family F]
+//   lcert_cli prove <scheme> [n] [--threads T] [--family F]
 //                                           # batch prover: timing + memo and
 //                                           # solver decision stats. --family
 //                                           # swaps the instance shape (path,
@@ -51,8 +51,8 @@
 // Every subcommand accepts --metrics-out <file> (or the LCERT_METRICS env
 // var) to dump the obs metrics/trace artifact as JSON (.csv for CSV), and
 // --trace-out <file> (or LCERT_TRACE) to record a Chrome trace-event
-// timeline (chrome://tracing / Perfetto). An unwritable artifact path is
-// rejected up front with exit code 2.
+// timeline (chrome://tracing / Perfetto). A missing or unwritable artifact
+// path is rejected up front with exit code 2.
 // Edge-list format: see src/graph/io.hpp.
 #include <charconv>
 #include <chrono>
@@ -97,22 +97,6 @@ const RegisteredScheme* lookup(const std::string& key) {
       std::fprintf(stderr, "  %s\n", e.key.c_str());
   }
   return entry;
-}
-
-/// Strict unsigned parse shared by every verb: digits only (no sign, no
-/// whitespace, no trailing text, not empty) and at most `max`. Throws
-/// std::invalid_argument naming `what`; main() turns that into exit code 2.
-std::uint64_t parse_count(const std::string& what, const std::string& text,
-                          std::uint64_t max = UINT64_MAX) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value > max)
-    throw std::invalid_argument(
-        "invalid value '" + text + "' for " + what + ": expected " +
-        (max == UINT64_MAX ? std::string("a non-negative integer")
-                           : "an integer in [0, " + std::to_string(max) + "]"));
-  return value;
 }
 
 /// A vertex count from the command line, under the same ceiling as the
@@ -217,9 +201,7 @@ int audit_command(const std::vector<std::string>& args, obs::Report& report) {
   std::size_t n = 24;
   for (std::size_t i = 2; i < args.size(); ++i) {
     const std::string& flag = args[i];
-    if (flag == "--metrics-out" || flag == "--trace-out") {
-      ++i;  // consumed by obs::Report::from_cli
-    } else if (!flag.empty() && flag[0] != '-') {
+    if (!flag.empty() && flag[0] != '-') {
       n = parse_vertex_count(flag);
     } else {
       throw std::invalid_argument("unknown audit flag '" + flag + "'");
@@ -288,12 +270,8 @@ int prove_command(const std::vector<std::string>& args, obs::Report& report) {
   const ShapeFamily* shape = nullptr;
   for (std::size_t i = 2; i < args.size(); ++i) {
     const std::string& flag = args[i];
-    if (flag == "--metrics-out" || flag == "--trace-out") {
-      ++i;  // consumed by obs::Report::from_cli
-    } else if (flag == "--threads") {
+    if (flag == "--threads") {
       options.num_threads = parse_count(flag, flag_value(args, i));
-    } else if (flag == "--no-memo") {
-      options.memoize = false;
     } else if (flag == "--family") {
       shape = lookup_shape(flag_value(args, i));
       if (shape == nullptr) return 2;
@@ -309,9 +287,9 @@ int prove_command(const std::vector<std::string>& args, obs::Report& report) {
   Graph g = shape == nullptr ? entry->family.yes_instance(n, rng) : shape->make(n, rng);
   if (shape != nullptr) assign_random_ids(g, rng);
   std::printf("scheme:   %s (%s)\n", entry->key.c_str(), entry->description.c_str());
-  std::printf("instance: %s n=%zu m=%zu, threads=%zu, memo=%s\n",
+  std::printf("instance: %s n=%zu m=%zu, threads=%zu\n",
               shape == nullptr ? "yes-instance" : shape->name, g.vertex_count(),
-              g.edge_count(), options.num_threads, options.memoize ? "on" : "off");
+              g.edge_count(), options.num_threads);
 
   const auto start = std::chrono::steady_clock::now();
   const ProveResult result = prove_assignment(*scheme, g, options);
@@ -343,7 +321,6 @@ int prove_command(const std::vector<std::string>& args, obs::Report& report) {
       .set("scheme", entry->key)
       .set("n", g.vertex_count())
       .set("threads", options.num_threads)
-      .set("memo", options.memoize ? "on" : "off")
       .set("family", shape == nullptr ? "yes-instance" : shape->name)
       .set("prove_ms", ms)
       .set("memo_hits", result.memo_hits)
@@ -371,11 +348,6 @@ FuzzCliOptions parse_fuzz_flags(const std::vector<std::string>& args, std::size_
   FuzzCliOptions out;
   for (std::size_t i = from; i < args.size(); ++i) {
     const std::string& flag = args[i];
-    // --metrics-out/--trace-out are consumed by obs::Report::from_cli.
-    if (flag == "--metrics-out" || flag == "--trace-out") {
-      ++i;
-      continue;
-    }
     if (flag == "--trials") out.campaign.trials = parse_count(flag, flag_value(args, i));
     else if (flag == "--time-budget")
       out.campaign.time_budget_s = parse_seconds(flag, flag_value(args, i));
@@ -571,9 +543,7 @@ int apply_edit_command(const std::vector<std::string>& args, obs::Report& report
   std::vector<std::string> specs;
   for (std::size_t i = 3; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg == "--metrics-out" || arg == "--trace-out") {
-      ++i;  // consumed by obs::Report::from_cli
-    } else if (arg == "--threads") {
+    if (arg == "--threads") {
       options.num_threads = parse_count(arg, flag_value(args, i));
     } else if (arg == "--check") {
       check = true;
@@ -630,9 +600,7 @@ int watch_command(const std::vector<std::string>& args, obs::Report& report) {
   const ShapeFamily* shape = nullptr;  // default: the scheme's own yes-instance
   for (std::size_t i = 2; i < args.size(); ++i) {
     const std::string& flag = args[i];
-    if (flag == "--metrics-out" || flag == "--trace-out") {
-      ++i;  // consumed by obs::Report::from_cli
-    } else if (flag == "--family") {
+    if (flag == "--family") {
       shape = lookup_shape(flag_value(args, i));
       if (shape == nullptr) return 2;
     } else if (flag == "--edits") {
@@ -828,8 +796,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "usage: lcert_cli list | demo <scheme> [n] | run <scheme> <file|-> | "
-               "audit <scheme|all> [n] | prove <scheme> [n] [--threads T] [--no-memo] "
-               "[--family F] | "
+               "audit <scheme|all> [n] | prove <scheme> [n] [--threads T] [--family F] | "
                "fuzz <scheme|all> [--trials N] [--time-budget S] "
                "[--seed S] [--threads T] [--base-n N] [--replay T] [--out DIR] | "
                "apply-edit <scheme> <file|-> <spec>... [--threads T] [--check] | "

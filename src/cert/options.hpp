@@ -46,12 +46,6 @@ struct RunOptions {
   /// campaign consumes this (trial counts stay exact and deterministic,
   /// time budgets by nature are not).
   double time_budget_s = 0;
-
-  // --- proving (last fields: existing aggregate initializers stay valid) ---
-  /// Enable the hash-consed subtree certificate cache in batch provers.
-  /// Off is strictly a debugging/benchmarking mode: output is bit-identical
-  /// either way (pinned by tests), only the work done changes.
-  bool memoize = true;
 };
 
 }  // namespace lcert

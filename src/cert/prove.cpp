@@ -30,19 +30,15 @@ const ProverMetrics& prover_metrics() {
 }  // namespace
 
 ProverContext::ProverContext(std::size_t universe, const RunOptions& options)
-    : options_(options) {
-  // resolve_thread_count is monotone in the item count, so sizing for the
-  // whole universe covers every per-level fan-out the run can make.
-  const std::size_t workers =
-      resolve_thread_count(options.num_threads, universe == 0 ? 1 : universe);
-  scratch_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
-    scratch_.push_back(std::make_unique<WorkerScratch>());
+    : num_threads_(options.num_threads) {
+  ensure_universe(universe);
 }
 
 void ProverContext::ensure_universe(std::size_t universe) {
+  // resolve_thread_count is monotone in the item count, so sizing for the
+  // whole universe covers every per-level fan-out the run can make.
   const std::size_t workers =
-      resolve_thread_count(options_.num_threads, universe == 0 ? 1 : universe);
+      resolve_thread_count(num_threads_, universe == 0 ? 1 : universe);
   while (scratch_.size() < workers)
     scratch_.push_back(std::make_unique<WorkerScratch>());
 }

@@ -12,9 +12,9 @@
 //
 // Determinism contract (pinned by tests/test_prover_pipeline.cpp): for a
 // fixed graph, prove_assignment returns bit-identical certificates for every
-// num_threads value and with memoization on or off — and exactly the
-// certificates scheme.assign(g) returns. Parallelism and memoization are
-// pure speedups, never semantic forks.
+// num_threads value — exactly the certificates scheme.assign(g) returns.
+// Parallelism and the batch provers' memos are pure speedups, never semantic
+// forks.
 #pragma once
 
 #include <cstddef>
@@ -51,9 +51,6 @@ class ProverContext {
   /// large enough; never shrinks (arenas stay warm).
   void ensure_universe(std::size_t universe);
 
-  const RunOptions& options() const noexcept { return options_; }
-  bool memoize() const noexcept { return options_.memoize; }
-
   /// Upper bound on worker ids ever passed to scratch accessors.
   std::size_t worker_count() const noexcept { return scratch_.size(); }
 
@@ -71,7 +68,7 @@ class ProverContext {
   /// only slots owned by index i so the result is thread-count independent.
   template <typename Fn>
   void for_each_index(std::size_t count, Fn&& fn) {
-    parallel_for_workers(count, options_.num_threads, std::forward<Fn>(fn));
+    parallel_for_workers(count, num_threads_, std::forward<Fn>(fn));
   }
 
   /// Memo cache accounting (obs counters prover/memo_hits, prover/memo_misses
@@ -101,7 +98,7 @@ class ProverContext {
     WorkerScratch() : writer(arena) {}
   };
 
-  RunOptions options_;
+  std::size_t num_threads_;  ///< RunOptions::num_threads
   std::vector<std::unique_ptr<WorkerScratch>> scratch_;
   std::size_t memo_hits_ = 0;
   std::size_t memo_misses_ = 0;
@@ -117,8 +114,7 @@ struct ProveResult {
 };
 
 /// Prover entry point: runs scheme.prove_batch under a fresh ProverContext.
-/// Same certificates as scheme.assign(g), for every thread count, memoized
-/// or not.
+/// Same certificates as scheme.assign(g), for every thread count.
 ProveResult prove_assignment(const Scheme& scheme, const Graph& g,
                              const RunOptions& options = {});
 

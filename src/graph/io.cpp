@@ -10,6 +10,26 @@
 
 namespace lcert {
 
+std::optional<std::uint64_t> parse_decimal(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::uint64_t parse_count(const std::string& what, const std::string& text,
+                          std::uint64_t max, std::uint64_t min) {
+  const std::optional<std::uint64_t> value = parse_decimal(text);
+  if (!value || *value < min || *value > max)
+    throw std::invalid_argument(
+        "invalid value '" + text + "' for " + what + ": expected " +
+        (min == 0 && max == UINT64_MAX
+             ? std::string("a non-negative integer")
+             : "an integer in [" + std::to_string(min) + ", " + std::to_string(max) + "]"));
+  return *value;
+}
+
 Graph parse_edge_list(std::istream& in) {
   std::size_t n = 0;
   bool have_n = false;
@@ -32,12 +52,10 @@ Graph parse_edge_list(std::istream& in) {
     const auto field = [&](const char* what) -> std::uint64_t {
       std::string text;
       ls >> text;
-      std::uint64_t value = 0;
-      const char* end = text.data() + text.size();
-      const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-      if (text.empty() || ec != std::errc() || ptr != end)
+      const std::optional<std::uint64_t> value = parse_decimal(text);
+      if (!value)
         fail(std::string("bad ") + what + (text.empty() ? " (missing)" : " '" + text + "'"));
-      return value;
+      return *value;
     };
     const auto end_of_line = [&] {
       std::string extra;

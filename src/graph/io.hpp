@@ -11,8 +11,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/graph/graph.hpp"
 
@@ -24,6 +27,16 @@ namespace lcert {
 /// turns a malformed or hostile count into a clean error instead of an
 /// allocation failure.
 inline constexpr std::size_t kMaxVertexCount = std::size_t{1} << 24;
+
+/// Strict unsigned decimal: digits only — no sign, whitespace or trailing
+/// text, not empty. nullopt on anything else, or on overflow.
+std::optional<std::uint64_t> parse_decimal(std::string_view text);
+
+/// parse_decimal for a command-line argument, in [min, max]. Throws
+/// std::invalid_argument naming `what`; lcert_cli and the bench drivers turn
+/// it into exit code 2.
+std::uint64_t parse_count(const std::string& what, const std::string& text,
+                          std::uint64_t max = UINT64_MAX, std::uint64_t min = 0);
 
 /// Parses the edge-list format; throws std::invalid_argument with a line
 /// number on malformed input, including a vertex count above

@@ -97,11 +97,8 @@ mso_detail::SolveCore MsoTreeScheme::solve_core() const {
 
 std::optional<std::vector<Certificate>> MsoTreeScheme::prove_batch(
     const Graph& g, ProverContext& ctx) const {
-  const std::size_t k = automaton_.automaton.state_count;
-  if (k > 64) return assign(g);
+  if (automaton_.automaton.state_count > 64) return assign(g);
   if (!holds(g)) return std::nullopt;
-
-  const mso_detail::SolveCore core = solve_core();
 
   // Memo state shared across candidate roots, keyed on child feasibility
   // masks instead of exact subtree iso codes (DESIGN.md §12): feasibility is
@@ -110,34 +107,14 @@ std::optional<std::vector<Certificate>> MsoTreeScheme::prove_batch(
   // plus the parent state (the flow's choice follows edge insertion order).
   // Distinct subtree shapes with the same child-mask profile share one entry
   // — on irregular trees this is the difference between a memo that
-  // collapses and one that converges to O(distinct profiles). The passes
-  // themselves live in mso_detail::SolveCore, shared verbatim with the
+  // collapses and one that converges to O(distinct profiles). The root loop
+  // and both passes live in mso_detail::SolveCore, shared verbatim with the
   // incremental recertification prover (DESIGN.md §13).
-  mso_detail::MsoMemo memo_store;
-  mso_detail::MsoMemo* memo = ctx.memoize() ? &memo_store : nullptr;
-
-  for (Vertex root : automaton_.good_roots(g)) {
-    const RootedTree t = RootedTree::from_graph(g, root);
-    const auto levels = t.levels();
-
-    std::vector<std::uint64_t> mask(t.size(), 0);
-    core.bottom_up(t, levels, ctx, memo, mask);
-
-    const std::size_t root_state = core.accepting_state(mask[t.root()]);
-    if (root_state == SIZE_MAX) continue;
-
-    std::vector<std::size_t> run(t.size(), SIZE_MAX);
-    run[t.root()] = root_state;
-    core.top_down(t, levels, ctx, memo, mask, run);
-
-    const std::vector<Certificate> table = core.payload_table(ctx);
-    std::vector<Certificate> certs(g.vertex_count());
-    ctx.for_each_index(g.vertex_count(), [&](std::size_t, std::size_t v) {
-      certs[v] = table[(t.depth(v) % 3) * k + run[v]];
-    });
-    return certs;
-  }
-  return std::nullopt;
+  const mso_detail::SolveCore core = solve_core();
+  mso_detail::MsoMemo memo;
+  const mso_detail::Solved solved = core.solve(g, automaton_.good_roots(g), ctx, memo);
+  if (!solved.accepted()) return std::nullopt;
+  return core.certificates(solved.tree, solved.run, core.payload_table(ctx), ctx);
 }
 
 namespace {

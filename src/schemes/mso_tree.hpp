@@ -41,13 +41,13 @@ class MsoTreeScheme final : public Scheme {
   bool holds(const Graph& g) const override;
   std::optional<std::vector<Certificate>> assign(const Graph& g) const override;
   /// Level-synchronized memoized batch prover. Bit-identical to assign() for
-  /// every thread count and with memoization on or off: the feasibility
-  /// masks it computes equal find_accepting_run's per-vertex boolean rows,
-  /// and the extraction solver is the same flow construction in the same
-  /// edge order. Memo keys: canonical subtree code for feasibility (order-
-  /// invariant), (ordered child-code tuple, parent state) for extraction
-  /// (the flow's choice depends on child order). Falls back to assign() when
-  /// state_count > 64 (masks are single words).
+  /// every thread count: the feasibility masks it computes equal
+  /// find_accepting_run's per-vertex boolean rows, and the extraction solver
+  /// is the same flow construction in the same edge order. Memo keys: sorted
+  /// child-mask multiset for feasibility (order-invariant), (ordered
+  /// child-mask tuple, parent state) for extraction (the flow's choice
+  /// depends on child order). Falls back to assign() when state_count > 64
+  /// (masks are single words).
   std::optional<std::vector<Certificate>> prove_batch(const Graph& g,
                                                       ProverContext& ctx) const override;
   bool verify(const ViewRef& view) const override;
@@ -72,7 +72,8 @@ class MsoTreeScheme final : public Scheme {
   /// rooted tree + feasibility masks + run states across streaming edits and
   /// repairs only the dirty slice per edit. Returns nullptr when the
   /// automaton has more than 64 states (masks are single words). The prover
-  /// copies this scheme, so it is self-contained.
+  /// copies this scheme, so it is self-contained, and runs serially
+  /// whatever `options` say.
   std::unique_ptr<IncrementalProver> make_incremental_prover(
       const RunOptions& options) const override;
 

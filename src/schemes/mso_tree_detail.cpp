@@ -47,51 +47,62 @@ std::vector<std::uint64_t> child_masks_of(const RootedTree& t,
 
 }  // namespace
 
+const std::vector<std::size_t>& MsoMemo::child_key(const RootedTree& t,
+                                                   const std::vector<std::uint64_t>& mask,
+                                                   std::size_t v) {
+  key_.clear();
+  for (std::size_t c : t.children(v)) key_.push_back(static_cast<std::size_t>(mask[c]));
+  return key_;
+}
+
+std::size_t MsoMemo::feas_key(const RootedTree& t,
+                              const std::vector<std::uint64_t>& mask,
+                              std::size_t v, bool& fresh) {
+  child_key(t, mask, v);
+  std::sort(key_.begin(), key_.end());
+  // Ids are dense and handed out in order: a fresh id is the next slot.
+  const std::size_t id = mask_multisets.intern(key_);
+  fresh = id == feas_memo.size();
+  if (fresh) feas_memo.push_back(0);
+  return id;
+}
+
+std::vector<std::size_t>& MsoMemo::extract_slot(const RootedTree& t,
+                                                const std::vector<std::uint64_t>& mask,
+                                                std::size_t v, std::size_t q,
+                                                bool& fresh) {
+  const std::uint64_t key =
+      static_cast<std::uint64_t>(mask_tuples.intern(child_key(t, mask, v))) * 64 + q;
+  const auto [it, inserted] = extract_memo.try_emplace(key);
+  fresh = inserted;
+  return it->second;
+}
+
 void SolveCore::bottom_up(const RootedTree& t,
                           const std::vector<std::vector<std::size_t>>& levels,
-                          ProverContext& ctx, MsoMemo* memo,
+                          ProverContext& ctx, MsoMemo& memo,
                           std::vector<std::uint64_t>& mask) const {
   // Deepest level first: every child's mask is final before its parent's
-  // level starts. Memo key: the vertex's sorted child-mask multiset, interned
-  // once the children's masks are final — serial intern pass (the interner
-  // may rehash), parallel fill of the fresh entries, serial apply.
-  std::vector<std::size_t> vertex_code;
-  std::vector<std::size_t> key_scratch;
+  // level starts. Each vertex's key is looked up once its children's masks
+  // are final — serial lookup pass (the interner may rehash), parallel fill
+  // of the fresh entries (distinct slots), serial apply.
+  std::vector<std::size_t> code;
   for (auto lev = levels.rbegin(); lev != levels.rend(); ++lev) {
     const std::vector<std::size_t>& level = *lev;
-    if (memo == nullptr) {
-      ctx.for_each_index(level.size(), [&](std::size_t w, std::size_t i) {
-        mask[level[i]] = mask_from_children(child_masks_of(t, mask, level[i]), ctx, w);
-      });
-      continue;
-    }
-    vertex_code.resize(level.size());
-    std::vector<std::size_t> reps;  // first vertex per not-yet-cached code
+    code.resize(level.size());
+    std::vector<std::size_t> reps;  // level index of each fresh code's first vertex
     for (std::size_t i = 0; i < level.size(); ++i) {
-      const std::size_t v = level[i];
-      key_scratch.clear();
-      for (std::size_t c : t.children(v))
-        key_scratch.push_back(static_cast<std::size_t>(mask[c]));
-      std::sort(key_scratch.begin(), key_scratch.end());
-      const std::size_t code = memo->mask_multisets.intern(key_scratch);
-      vertex_code[i] = code;
-      if (code < memo->feas_known.size() && memo->feas_known[code]) continue;
-      memo->feas_known.resize(memo->mask_multisets.size(), 0);
-      memo->feas_memo.resize(memo->mask_multisets.size(), 0);
-      memo->feas_known[code] = 1;
-      reps.push_back(v);
+      bool fresh = false;
+      code[i] = memo.feas_key(t, mask, level[i], fresh);
+      if (fresh) reps.push_back(i);
     }
     ctx.count_memo_misses(reps.size());
     ctx.count_memo_hits(level.size() - reps.size());
-    std::vector<std::uint64_t> rep_mask(reps.size());
-    ctx.for_each_index(reps.size(), [&](std::size_t w, std::size_t i) {
-      rep_mask[i] = mask_from_children(child_masks_of(t, mask, reps[i]), ctx, w);
+    ctx.for_each_index(reps.size(), [&](std::size_t w, std::size_t r) {
+      const std::size_t i = reps[r];
+      memo.feas_memo[code[i]] = mask_from_children(child_masks_of(t, mask, level[i]), ctx, w);
     });
-    for (std::size_t i = 0, r = 0; i < level.size(); ++i) {
-      if (r < reps.size() && level[i] == reps[r])
-        memo->feas_memo[vertex_code[i]] = rep_mask[r++];
-      mask[level[i]] = memo->feas_memo[vertex_code[i]];
-    }
+    for (std::size_t i = 0; i < level.size(); ++i) mask[level[i]] = memo.feas_memo[code[i]];
   }
 }
 
@@ -101,70 +112,61 @@ std::size_t SolveCore::accepting_state(std::uint64_t root_mask) const {
   return SIZE_MAX;
 }
 
-void SolveCore::top_down(const RootedTree& t,
-                         const std::vector<std::vector<std::size_t>>& levels,
-                         ProverContext& ctx, MsoMemo* memo,
-                         const std::vector<std::uint64_t>& mask,
-                         std::vector<std::size_t>& run) const {
-  std::vector<std::size_t> tuple_id;
-  if (memo != nullptr) {
-    tuple_id.assign(t.size(), SIZE_MAX);
-    std::vector<std::size_t> scratch;
-    for (std::size_t v = 0; v < t.size(); ++v) {
-      const auto kids = t.children(v);
-      if (kids.empty()) continue;
-      scratch.clear();
-      for (std::size_t c : kids) scratch.push_back(static_cast<std::size_t>(mask[c]));
-      tuple_id[v] = memo->mask_tuples.intern(scratch);
-    }
-  }
-
+std::vector<std::size_t> SolveCore::top_down(
+    const RootedTree& t, const std::vector<std::vector<std::size_t>>& levels,
+    ProverContext& ctx, MsoMemo& memo, const std::vector<std::uint64_t>& mask,
+    std::size_t root_state) const {
   // Root level first: run[v] is final before v's level chooses its
-  // children's states.
+  // children's states. Serial lookup pass (the map may rehash; slots are
+  // node-stable), parallel fill of the fresh slots, serial apply.
+  std::vector<std::size_t> run(t.size(), SIZE_MAX);
+  run[t.root()] = root_state;
+  std::vector<std::vector<std::size_t>*> slot;
   for (const std::vector<std::size_t>& level : levels) {
-    if (memo == nullptr) {
-      ctx.for_each_index(level.size(), [&](std::size_t w, std::size_t i) {
-        const std::size_t v = level[i];
-        const auto kids = t.children(v);
-        if (kids.empty()) return;
-        const auto chosen =
-            extract_from_children(child_masks_of(t, mask, v), run[v], ctx, w);
-        for (std::size_t j = 0; j < kids.size(); ++j) run[kids[j]] = chosen[j];
-      });
-      continue;
-    }
-    // Serial insert pass (the map may rehash), parallel fill of the fresh
-    // slots, then the apply pass reads a stable map.
-    std::vector<std::size_t> reps;
-    std::vector<std::vector<std::size_t>*> slots;
+    std::vector<std::size_t> reps;  // level index of each fresh key's first vertex
     std::size_t hits = 0;
-    for (std::size_t v : level) {
+    slot.assign(level.size(), nullptr);
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      const std::size_t v = level[i];
       if (t.children(v).empty()) continue;
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(tuple_id[v]) * 64 + run[v];
-      const auto [it, inserted] = memo->extract_memo.try_emplace(key);
-      if (!inserted) {
-        ++hits;
-        continue;
-      }
-      reps.push_back(v);
-      slots.push_back(&it->second);
+      bool fresh = false;
+      slot[i] = &memo.extract_slot(t, mask, v, run[v], fresh);
+      if (fresh) reps.push_back(i);
+      else ++hits;
     }
     ctx.count_memo_misses(reps.size());
     ctx.count_memo_hits(hits);
-    ctx.for_each_index(reps.size(), [&](std::size_t w, std::size_t i) {
-      *slots[i] = extract_from_children(child_masks_of(t, mask, reps[i]),
-                                        run[reps[i]], ctx, w);
+    ctx.for_each_index(reps.size(), [&](std::size_t w, std::size_t r) {
+      const std::size_t v = level[reps[r]];
+      *slot[reps[r]] = extract_from_children(child_masks_of(t, mask, v), run[v], ctx, w);
     });
-    for (std::size_t v : level) {
-      const auto kids = t.children(v);
-      if (kids.empty()) continue;
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(tuple_id[v]) * 64 + run[v];
-      const std::vector<std::size_t>& chosen = memo->extract_memo[key];
-      for (std::size_t j = 0; j < kids.size(); ++j) run[kids[j]] = chosen[j];
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      if (slot[i] == nullptr) continue;
+      const auto kids = t.children(level[i]);
+      for (std::size_t j = 0; j < kids.size(); ++j) run[kids[j]] = (*slot[i])[j];
     }
   }
+  return run;
+}
+
+Solved SolveCore::solve(const Graph& g, std::span<const Vertex> roots,
+                        ProverContext& ctx, MsoMemo& memo) const {
+  Solved first;
+  for (std::size_t i = 0; i < std::max<std::size_t>(roots.size(), 1); ++i) {
+    Solved s{RootedTree::from_graph(g, roots.empty() ? 0 : roots[i]), {}, {}};
+    const auto levels = s.tree.levels();
+    s.mask.assign(s.tree.size(), 0);
+    bottom_up(s.tree, levels, ctx, memo, s.mask);
+    const std::size_t root_state =
+        roots.empty() ? SIZE_MAX : accepting_state(s.mask[s.tree.root()]);
+    if (root_state == SIZE_MAX) {
+      if (i == 0) first = std::move(s);
+      continue;
+    }
+    s.run = top_down(s.tree, levels, ctx, memo, s.mask, root_state);
+    return s;
+  }
+  return first;
 }
 
 std::vector<Certificate> SolveCore::payload_table(ProverContext& ctx) const {
@@ -179,52 +181,42 @@ std::vector<Certificate> SolveCore::payload_table(ProverContext& ctx) const {
   return table;
 }
 
+std::vector<Certificate> SolveCore::certificates(const RootedTree& t,
+                                                 const std::vector<std::size_t>& run,
+                                                 const std::vector<Certificate>& table,
+                                                 ProverContext& ctx) const {
+  std::vector<Certificate> certs(t.size());
+  ctx.for_each_index(t.size(), [&](std::size_t, std::size_t v) {
+    certs[v] = table[(t.depth(v) % 3) * k + run[v]];
+  });
+  return certs;
+}
+
 std::uint64_t SolveCore::memo_mask(const RootedTree& t,
                                    const std::vector<std::uint64_t>& mask,
                                    std::size_t v, ProverContext& ctx,
-                                   MsoMemo* memo) const {
-  if (memo == nullptr) return mask_from_children(child_masks_of(t, mask, v), ctx, 0);
-  std::vector<std::size_t> key;
-  key.reserve(t.children(v).size());
-  for (std::size_t c : t.children(v))
-    key.push_back(static_cast<std::size_t>(mask[c]));
-  std::sort(key.begin(), key.end());
-  const std::size_t code = memo->mask_multisets.intern(key);
-  if (code < memo->feas_known.size() && memo->feas_known[code]) {
+                                   MsoMemo& memo) const {
+  bool fresh = false;
+  const std::size_t id = memo.feas_key(t, mask, v, fresh);
+  if (!fresh) {
     ctx.count_memo_hits(1);
-    return memo->feas_memo[code];
+    return memo.feas_memo[id];
   }
-  memo->feas_known.resize(memo->mask_multisets.size(), 0);
-  memo->feas_memo.resize(memo->mask_multisets.size(), 0);
   ctx.count_memo_misses(1);
-  const std::uint64_t m = mask_from_children(child_masks_of(t, mask, v), ctx, 0);
-  memo->feas_known[code] = 1;
-  memo->feas_memo[code] = m;
-  return m;
+  return memo.feas_memo[id] = mask_from_children(child_masks_of(t, mask, v), ctx, 0);
 }
 
 const std::vector<std::size_t>& SolveCore::memo_extract(
     const RootedTree& t, const std::vector<std::uint64_t>& mask, std::size_t v,
-    std::size_t q, ProverContext& ctx, MsoMemo* memo,
-    std::vector<std::size_t>& scratch) const {
-  if (memo == nullptr) {
-    scratch = extract_from_children(child_masks_of(t, mask, v), q, ctx, 0);
-    return scratch;
-  }
-  std::vector<std::size_t> key;
-  key.reserve(t.children(v).size());
-  for (std::size_t c : t.children(v))
-    key.push_back(static_cast<std::size_t>(mask[c]));
-  const std::uint64_t mkey =
-      static_cast<std::uint64_t>(memo->mask_tuples.intern(key)) * 64 + q;
-  const auto [it, inserted] = memo->extract_memo.try_emplace(mkey);
-  if (!inserted) {
+    std::size_t q, ProverContext& ctx, MsoMemo& memo) const {
+  bool fresh = false;
+  std::vector<std::size_t>& slot = memo.extract_slot(t, mask, v, q, fresh);
+  if (!fresh) {
     ctx.count_memo_hits(1);
-    return it->second;
+    return slot;
   }
   ctx.count_memo_misses(1);
-  it->second = extract_from_children(child_masks_of(t, mask, v), q, ctx, 0);
-  return it->second;
+  return slot = extract_from_children(child_masks_of(t, mask, v), q, ctx, 0);
 }
 
 }  // namespace lcert::mso_detail

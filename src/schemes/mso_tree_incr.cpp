@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -54,8 +55,8 @@ void erase_index(std::vector<T>& v, std::size_t i) {
 
 class MsoTreeIncrementalProver final : public IncrementalProver {
  public:
-  MsoTreeIncrementalProver(const MsoTreeScheme& scheme, const RunOptions& options)
-      : scheme_(scheme), options_(options), ctx_(1, options) {
+  explicit MsoTreeIncrementalProver(const MsoTreeScheme& scheme)
+      : scheme_(scheme), ctx_(1, RunOptions{.num_threads = 1}) {
     core_ = scheme_.solve_core();  // borrows from scheme_, a stable member
     table_ = core_.payload_table(ctx_);
   }
@@ -96,8 +97,6 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
   Graph graph() const override { return materialize(); }
 
  private:
-  mso_detail::MsoMemo* memo_ptr() { return options_.memoize ? &memo_ : nullptr; }
-
   [[noreturn]] void reject(const GraphEdit& edit, const std::string& why) const {
     throw std::invalid_argument(scheme_.name() + ": " + to_string(edit) + ": " + why);
   }
@@ -146,51 +145,32 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
     return 0;
   }
 
-  /// Cold (but memo- and context-warm) full re-certification; mirrors
-  /// prove_batch's root loop exactly, additionally retaining the tree, mask
-  /// and run state of the successful root for later incremental repair.
+  /// Cold (but memo- and context-warm) full re-certification through the
+  /// cold prover's root loop, additionally retaining the tree, masks and run
+  /// of the chosen root for later incremental repair. A no-instance keeps
+  /// the first good root's masks warm so a later edit can revalidate
+  /// incrementally; so does, defensively, a yes-instance no good root
+  /// accepted, which cold also answers with nullopt.
   void rebuild_from(const Graph& g) {
     const std::size_t n = g.vertex_count();
     ctx_.ensure_universe(n);
     ids_.resize(n);
     for (Vertex v = 0; v < n; ++v) ids_[v] = g.id(v);
     graph_cache_.reset();
-    mso_detail::MsoMemo* memo = memo_ptr();
     const bool yes = scheme_.holds(g);  // throws off the tree promise
     const auto roots = scheme_.automaton_.good_roots(g);
-    if (yes) {
-      for (Vertex root : roots) {
-        RootedTree t = RootedTree::from_graph(g, root);
-        const auto levels = t.levels();
-        std::vector<std::uint64_t> mask(n, 0);
-        core_.bottom_up(t, levels, ctx_, memo, mask);
-        const std::size_t root_state = core_.accepting_state(mask[t.root()]);
-        if (root_state == SIZE_MAX) continue;
-        std::vector<std::size_t> run(n, SIZE_MAX);
-        run[t.root()] = root_state;
-        core_.top_down(t, levels, ctx_, memo, mask, run);
-        std::vector<Certificate> certs(n);
-        for (std::size_t v = 0; v < n; ++v)
-          certs[v] = table_[(t.depth(v) % 3) * core_.k + run[v]];
-        tree_ = std::move(t);
-        mask_ = std::move(mask);
-        run_ = std::move(run);
-        certs_ = std::move(certs);
-        return;
-      }
+    // A no-instance tries the first good root only: no root accepts it.
+    const std::size_t tried = yes ? roots.size() : std::min<std::size_t>(roots.size(), 1);
+    mso_detail::Solved solved = core_.solve(g, std::span(roots).first(tried), ctx_, memo_);
+    tree_ = std::move(solved.tree);
+    mask_ = std::move(solved.mask);
+    if (yes && solved.accepted()) {
+      certs_ = core_.certificates(tree_, solved.run, table_, ctx_);
+      run_ = std::move(solved.run);
+    } else {
+      run_.assign(n, SIZE_MAX);
+      certs_.reset();
     }
-    // Uncertified (or, defensively, a yes-instance no good root accepted,
-    // which cold also answers with nullopt): keep the first good root's
-    // masks warm so a later edit can revalidate incrementally.
-    const Vertex root = roots.empty() ? 0 : roots[0];
-    RootedTree t = RootedTree::from_graph(g, root);
-    const auto levels = t.levels();
-    std::vector<std::uint64_t> mask(n, 0);
-    core_.bottom_up(t, levels, ctx_, memo, mask);
-    tree_ = std::move(t);
-    mask_ = std::move(mask);
-    run_.assign(n, SIZE_MAX);
-    certs_.reset();
   }
 
   void full_rebuild(const Graph& g, IncrementalStats& st) {
@@ -223,7 +203,7 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
         if (certs_.has_value()) certs_->emplace_back();
         graph_cache_.reset();
         ctx_.ensure_universe(tree_.size());
-        mask_[leaf] = core_.memo_mask(tree_, mask_, leaf, ctx_, memo_ptr());
+        mask_[leaf] = core_.memo_mask(tree_, mask_, leaf, ctx_, memo_);
         ++st.reproved_vertices;
         finish_structural({edit.a}, {}, {leaf}, st);
         return;
@@ -306,8 +286,6 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
       return;
     }
 
-    mso_detail::MsoMemo* memo = memo_ptr();
-
     // Bottom-up repair, deepest bucket first: recompute the mask of every
     // vertex whose child-mask multiset changed; a changed result marks the
     // parent dirty, an unchanged one stops the upward propagation.
@@ -324,7 +302,7 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
         const std::size_t v = buckets[d][i];
         dirty_all.push_back(v);
         const std::uint64_t old = mask_[v];
-        const std::uint64_t neu = core_.memo_mask(tree_, mask_, v, ctx_, memo);
+        const std::uint64_t neu = core_.memo_mask(tree_, mask_, v, ctx_, memo_);
         ++st.reproved_vertices;
         if (neu == old) continue;
         mask_[v] = neu;
@@ -364,14 +342,8 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
     if (!was_certified) {
       // Revalidation: the run is stale everywhere, so extraction is a full
       // top-down (the repaired masks were kept warm for exactly this).
-      run_.assign(n, SIZE_MAX);
-      run_[tree_.root()] = root_state;
-      const auto levels = tree_.levels();
-      core_.top_down(tree_, levels, ctx_, memo, mask_, run_);
-      std::vector<Certificate> certs(n);
-      for (std::size_t v = 0; v < n; ++v)
-        certs[v] = table_[(tree_.depth(v) % 3) * core_.k + run_[v]];
-      certs_ = std::move(certs);
+      run_ = core_.top_down(tree_, tree_.levels(), ctx_, memo_, mask_, root_state);
+      certs_ = core_.certificates(tree_, run_, table_, ctx_);
       changed_all_ = true;
       st.reproved_vertices += n;
       return;
@@ -391,7 +363,6 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) { return tree_.depth(a) < tree_.depth(b); });
     std::vector<std::size_t> stack;
-    std::vector<std::size_t> scratch;
     const auto process = [&](std::size_t start) {
       stack.push_back(start);
       while (!stack.empty()) {
@@ -402,7 +373,7 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
         const auto kids = tree_.children(v);
         if (kids.empty()) continue;
         const std::vector<std::size_t>& chosen =
-            core_.memo_extract(tree_, mask_, v, run_[v], ctx_, memo, scratch);
+            core_.memo_extract(tree_, mask_, v, run_[v], ctx_, memo_);
         ++st.reproved_vertices;
         for (std::size_t j = 0; j < kids.size(); ++j) {
           const std::size_t c = kids[j];
@@ -488,8 +459,11 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
   }
 
   MsoTreeScheme scheme_;  ///< own copy: the prover is self-contained
-  RunOptions options_;
-  ProverContext ctx_;  ///< persistent: arenas + feasibility scratch stay warm
+  /// Persistent (arenas and feasibility scratch stay warm) and serial: an
+  /// edit repairs a handful of vertices, and a parallel certificate fill
+  /// would put the live certificates' buffers in worker-thread heaps,
+  /// fragmenting the caller's heap and slowing its later cold proves.
+  ProverContext ctx_;
   mso_detail::SolveCore core_;
   mso_detail::MsoMemo memo_;  ///< persists across edits (pure values)
   std::vector<Certificate> table_;  ///< 3*k payloads, built once
@@ -505,9 +479,9 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
 };
 
 std::unique_ptr<IncrementalProver> MsoTreeScheme::make_incremental_prover(
-    const RunOptions& options) const {
+    const RunOptions&) const {
   if (automaton_.automaton.state_count > 64) return nullptr;  // masks are words
-  return std::make_unique<MsoTreeIncrementalProver>(*this, options);
+  return std::make_unique<MsoTreeIncrementalProver>(*this);
 }
 
 }  // namespace lcert

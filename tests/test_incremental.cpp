@@ -32,10 +32,13 @@ namespace lcert {
 namespace {
 
 // standard_tree_automata(): 2 = caterpillar, 4 = perfect-matching,
-// 7 = leaves>=4 — one cheap run-state automaton, one parity-flavored one,
-// and the widest counting one (k = 6).
+// 6 = radius<=3, 7 = leaves>=4 — one cheap run-state automaton, one
+// parity-flavored one, the one RootPolicy::kGeneric automaton (its good roots
+// are the centers, so edits move the root), and the widest counting one
+// (k = 6).
 constexpr std::size_t kCaterpillar = 2;
 constexpr std::size_t kPerfectMatching = 4;
+constexpr std::size_t kRadius3 = 6;
 constexpr std::size_t kLeaves4 = 7;
 
 void expect_same_tree(const RootedTree& got, const RootedTree& want) {
@@ -135,18 +138,27 @@ void expect_matches_cold(const Scheme& scheme, const incr::CertifiedInstance& li
 }
 
 TEST(IncrementalCertify, BitIdenticalToColdProveAcrossTreeSchemes) {
-  // >= 500 randomized trials (170 per scheme x 3 schemes), each a 4-edit walk
-  // at n in [20, 40); certificates must match a cold prove_assignment of the
-  // accumulated graph bit for bit after init and after every edit — on both
-  // sides of the property boundary (uncertified states must agree too).
+  // 1110 randomized trials (170 per scheme, 600 for radius<=3), each a
+  // 4-edit walk at n in [20, 40); certificates must match a cold
+  // prove_assignment of the accumulated graph bit for bit after init and
+  // after every edit — on both sides of the property boundary (uncertified
+  // states must agree too). radius<=3 starts from trees of height <= 3 so
+  // that edits cross the boundary both ways; its root follows the centers,
+  // which drives the root-stability gate and the full re-prove fallback. A
+  // walk whose old root still accepts but is no longer the first center is
+  // rare (the first one is trial 466), hence the longer run.
   const auto kinds = fuzz::tree_preserving_mutators();
   RunOptions options;
   options.num_threads = 1;
-  for (const std::size_t automaton : {kCaterpillar, kPerfectMatching, kLeaves4}) {
+  std::size_t radius_certified = 0, radius_uncertified = 0, radius_reproves = 0;
+  for (const std::size_t automaton : {kCaterpillar, kPerfectMatching, kRadius3, kLeaves4}) {
     const MsoTreeScheme scheme(standard_tree_automata()[automaton]);
-    for (std::uint64_t trial = 0; trial < 170; ++trial) {
+    const std::uint64_t trials = automaton == kRadius3 ? 600 : 170;
+    for (std::uint64_t trial = 0; trial < trials; ++trial) {
       Rng rng(automaton * 1000 + trial);
-      Graph cur = make_random_tree(20 + rng.index(20), rng);
+      const std::size_t n = 20 + rng.index(20);
+      Graph cur = automaton == kRadius3 ? make_random_rooted_tree(n, 3, rng).to_graph()
+                                        : make_random_tree(n, rng);
       assign_random_ids(cur, rng);
       incr::CertifiedInstance live(scheme, options);
       ASSERT_TRUE(live.incremental());
@@ -164,9 +176,16 @@ TEST(IncrementalCertify, BitIdenticalToColdProveAcrossTreeSchemes) {
             scheme, live, cur, options,
             scheme.name() + " trial " + std::to_string(trial) + " step " +
                 std::to_string(step) + " (" + to_string(*edit) + ")"));
+        if (automaton == kRadius3) {
+          ++(st.certified ? radius_certified : radius_uncertified);
+          radius_reproves += st.full_reprove ? 1 : 0;
+        }
       }
     }
   }
+  EXPECT_GT(radius_certified, 0u);
+  EXPECT_GT(radius_uncertified, 0u);
+  EXPECT_GT(radius_reproves, 0u);
 }
 
 TEST(IncrementalCertify, FallbackSchemeReprovesColdEveryEdit) {

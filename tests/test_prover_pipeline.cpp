@@ -1,9 +1,8 @@
 // Determinism and correctness of the batch prover pipeline: for every
 // registered scheme, prove_assignment must emit certificates bit-identical to
-// the serial assign() baseline — at 1, 2 and 8 threads, with the subtree memo
-// on and off — and those certificates must verify. Also pins the memo-counter
-// plumbing on memo-friendly instances and the arena allocator's
-// zero-steady-state-allocation contract.
+// the serial assign() baseline at 1, 2 and 8 threads, and those certificates
+// must verify. Also pins the memo-counter plumbing on memo-friendly
+// instances and the arena allocator's zero-steady-state-allocation contract.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,9 +35,10 @@ void expect_bit_identical(const std::vector<Certificate>& a,
 class ProverPipelineSweep : public ::testing::TestWithParam<std::size_t> {};
 
 // The contract every prove_batch override signs: its output is exactly
-// assign()'s output, for every thread count and memo on or off. (The name
-// predates the single production solver; solver decisions are pinned by the
-// deciders' cross-check tests and the solver-divergence fuzz oracle.)
+// assign()'s output, for every thread count. (The name predates the single
+// production solver and the removal of the memo-off path; solver decisions
+// are pinned by the deciders' cross-check tests and the solver-divergence
+// fuzz oracle.)
 TEST_P(ProverPipelineSweep, BatchMatchesAssignAcrossThreadsMemoAndSolvers) {
   const auto entry = scheme_registry().at(GetParam());
   const auto scheme = entry.make();
@@ -49,17 +49,12 @@ TEST_P(ProverPipelineSweep, BatchMatchesAssignAcrossThreadsMemoAndSolvers) {
   ASSERT_TRUE(baseline.has_value()) << entry.key;
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (const bool memo : {true, false}) {
-      RunOptions options;
-      options.num_threads = threads;
-      options.memoize = memo;
-      const ProveResult result = prove_assignment(*scheme, g, options);
-      ASSERT_TRUE(result.certificates.has_value())
-          << entry.key << " threads=" << threads << " memo=" << memo;
-      expect_bit_identical(*baseline, *result.certificates,
-                           entry.key + " threads=" + std::to_string(threads) +
-                               " memo=" + (memo ? std::string("on") : "off"));
-    }
+    RunOptions options;
+    options.num_threads = threads;
+    const ProveResult result = prove_assignment(*scheme, g, options);
+    ASSERT_TRUE(result.certificates.has_value()) << entry.key << " threads=" << threads;
+    expect_bit_identical(*baseline, *result.certificates,
+                         entry.key + " threads=" + std::to_string(threads));
   }
 }
 
@@ -126,13 +121,13 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, ProverPipelineSweep,
 
 // A complete binary tree is maximally memo-friendly: all subtrees at the
 // same depth are isomorphic, so the feasibility cache collapses each level
-// to one representative and almost every vertex is a hit.
+// to one representative and almost every vertex is a hit — without changing
+// a single certificate.
 TEST(ProverPipeline, MemoCountersFireOnCompleteBinaryTrees) {
   const MsoTreeScheme scheme(standard_tree_automata()[3]);  // max-degree<=3
   const Graph g = make_complete_binary_tree(8);             // 255 vertices
 
-  RunOptions memo_on;
-  const ProveResult with_memo = prove_assignment(scheme, g, memo_on);
+  const ProveResult with_memo = prove_assignment(scheme, g, RunOptions{});
   ASSERT_TRUE(with_memo.certificates.has_value());
   EXPECT_GT(with_memo.memo_hits, 0u);
   EXPECT_GT(with_memo.memo_misses, 0u);
@@ -141,13 +136,9 @@ TEST(ProverPipeline, MemoCountersFireOnCompleteBinaryTrees) {
   EXPECT_LT(with_memo.memo_misses, g.vertex_count() / 4);
   EXPECT_GT(with_memo.memo_hits, g.vertex_count());
 
-  RunOptions memo_off;
-  memo_off.memoize = false;
-  const ProveResult without = prove_assignment(scheme, g, memo_off);
-  ASSERT_TRUE(without.certificates.has_value());
-  EXPECT_EQ(without.memo_hits, 0u);
-  EXPECT_EQ(without.memo_misses, 0u);
-  expect_bit_identical(*with_memo.certificates, *without.certificates, "memo on/off");
+  const auto baseline = scheme.assign(g);
+  ASSERT_TRUE(baseline.has_value());
+  expect_bit_identical(*baseline, *with_memo.certificates, "memo vs assign()");
 }
 
 // Memo-hit totals are part of the determinism contract: collected in the
