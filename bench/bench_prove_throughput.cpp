@@ -1,4 +1,4 @@
-// Prover-pipeline throughput: seed serial assign() versus the memoized batch
+// Prover-pipeline throughput: seed serial assign() versus the memo-backed batch
 // prover (level-synchronized, arena-backed), serial and parallel. Backs
 // BENCH_prove.json (bench/run_bench.py prove).
 //

@@ -12,7 +12,7 @@ Suites and their headline metrics:
                per-probe rate of the canonical BoxIndex over the raw linear
                DNF sweep (target 25x). Smoke keeps the n=1024 engine rows and
                the cliff micro rows.
-  prove        speedup of the batch prover (level-synchronized, memoized,
+  prove        speedup of the batch prover (level-synchronized, memo-backed,
                arena-backed) over the seed serial assign() path on the most
                memo-friendly family at n=4096 (target 4x), per-family
                speedups, and the CompleteBinary/RandomTree cliff (target
@@ -115,7 +115,7 @@ def prove_headline(benchmarks, rates, n):
         if s is not None and (best_speedup is None or s > best_speedup):
             best_family, best_speedup = fam, s
 
-    # The irregular-shape gap: memoized serial batch throughput on random
+    # The irregular-shape gap: memo-backed serial batch throughput on random
     # trees versus complete binary trees (target: within 50x).
     binary, random_tree = rate("BatchSerial", "CompleteBinary"), rate("BatchSerial", "RandomTree")
     cliff = binary / random_tree if binary and random_tree else None

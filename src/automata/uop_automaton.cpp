@@ -133,7 +133,7 @@ bool uop_assign_children_masked(std::span<const std::uint64_t> child_masks,
   // Mirrors assign_children above line for line — same quick check, same
   // node/edge insertion order — with feasible[child][q] replaced by a mask
   // bit test. The flow solver's choice depends on that order, and the
-  // memoized prover relies on both paths choosing identically.
+  // memo-backed prover relies on both paths choosing identically.
   const std::size_t m = child_masks.size();
   std::size_t lo_sum = 0;
   for (std::size_t q = 0; q < state_count; ++q) {

@@ -81,7 +81,7 @@ inline bool accepts(const UOPAutomaton& a, const RootedTree& t,
   return find_accepting_run(a, t, labels).has_value();
 }
 
-/// Building block for the memoized batch prover (MsoTreeScheme::prove_batch):
+/// Building block for the memo-backed batch prover (MsoTreeScheme::prove_batch):
 /// the per-vertex assignment problem of find_accepting_run, taken over
 /// feasibility *masks* — bit q of child_masks[i] is set iff state q is
 /// feasible at the i-th child (requires state_count <= 64). Decides whether
@@ -92,7 +92,7 @@ inline bool accepts(const UOPAutomaton& a, const RootedTree& t,
 /// node/edge insertion order, as the solver inside find_accepting_run — so
 /// the extracted assignment (which is whatever the flow solver picks, and
 /// therefore sensitive to edge order) is identical. This is what lets the
-/// memoized prover cache assignments by (ordered child shapes, parent state)
+/// memo-backed prover cache assignments by (ordered child shapes, parent state)
 /// and still reproduce find_accepting_run's output bit-for-bit.
 bool uop_assign_children_masked(std::span<const std::uint64_t> child_masks,
                                 const IntervalBox& box, std::size_t state_count,

@@ -29,7 +29,7 @@ class InstrumentedScheme final : public Scheme {
   bool holds(const Graph& g) const override { return inner_->holds(g); }
   std::optional<std::vector<Certificate>> assign(const Graph& g) const override;
   /// Forwards to the inner scheme's batch prover (so wrapped schemes keep
-  /// their memoized/parallel path) and records sizes like assign() does.
+  /// their memo-backed/parallel path) and records sizes like assign() does.
   std::optional<std::vector<Certificate>> prove_batch(const Graph& g,
                                                       ProverContext& ctx) const override;
   bool verify(const ViewRef& view) const override { return inner_->verify(view); }

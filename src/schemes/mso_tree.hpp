@@ -40,7 +40,7 @@ class MsoTreeScheme final : public Scheme {
   std::string name() const override { return "mso-tree[" + automaton_.name + "]"; }
   bool holds(const Graph& g) const override;
   std::optional<std::vector<Certificate>> assign(const Graph& g) const override;
-  /// Level-synchronized memoized batch prover. Bit-identical to assign() for
+  /// Level-synchronized, memo-backed batch prover. Bit-identical to assign() for
   /// every thread count: the feasibility masks it computes equal
   /// find_accepting_run's per-vertex boolean rows, and the extraction solver
   /// is the same flow construction in the same edge order. Memo keys: sorted

@@ -3,7 +3,7 @@
 // prove_batch (cold, per-root) and the incremental recertification prover
 // (streaming edits against a live instance) are the same computation — a
 // bottom-up feasibility-mask pass and a top-down run extraction over a
-// RootedTree, memoized on child-mask profiles — differing only in *which
+// RootedTree, with a memo on child-mask profiles — differing only in *which
 // vertices* they touch. This header factors that computation out of
 // MsoTreeScheme so both paths call literally the same code: bit-identity
 // between them is then a statement about vertex selection, not about two
@@ -155,7 +155,7 @@ struct SolveCore {
                                         const std::vector<Certificate>& table,
                                         ProverContext& ctx) const;
 
-  // --- Single-vertex memoized accessors (incremental repair path) ---------
+  // --- Single-vertex accessors through the memo (incremental repair) ------
 
   /// mask_from_children for one vertex through the memo (counts one hit or
   /// miss in ctx).

@@ -3,7 +3,7 @@
 // Ground truth for testing the certification schemes and the lower-bound
 // gadget (Lemma 7.3). td over connected S satisfies
 //   td(S) = 1 + min_{v in S} max_{components C of S - v} td(C)
-// memoized over vertex bitmasks; practical up to ~20 vertices, which is all
+// with a memo over vertex bitmasks; practical up to ~20 vertices, which is all
 // the correctness tests need. Closed forms for paths/cycles/cliques give an
 // independent cross-check at larger sizes.
 #pragma once
